@@ -21,7 +21,7 @@ import numpy as np
 
 from .linmodel import FeatureStats, SpectrumProvider
 from .shortcut import (DEFAULT_EPSILON, NOT_REJECT, REJECT, UNSURE,
-                       _active_sorted, _alpha_checked, single_step)
+                       _alpha_checked, _nested_sorted, single_step)
 
 DEFAULT_MAX_ITERATIONS = 20_000
 
@@ -66,8 +66,7 @@ def iterative_shortcut(stats: FeatureStats, provider: SpectrumProvider, R, F,
     alpha = _alpha_checked(alpha)
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    base = _active_sorted(stats, R, "tested set")
-    top = _active_sorted(stats, F, "universe")
+    base, top = _nested_sorted(stats, R, F)
     worklist = [Subspace(top=top, bottom=base)]
     used = 0
     while worklist and used < max_iterations:
@@ -153,7 +152,7 @@ def analyze_collection(stats: FeatureStats, provider: SpectrumProvider,
     input order regardless of worker count.
     """
     alpha = _alpha_checked(alpha)
-    universe = tuple(int(i) for i in np.nonzero(stats.active)[0])
+    universe = stats.active_indices
     if not universe:
         raise ValueError("no active features in the dataset")
     jobs = [(str(name), members) for name, members in collection]

@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from . import io as tableio
-from .bnb import (DEFAULT_MAX_ITERATIONS, NOT_REJECT, REJECT, UNSURE,
-                  analyze_collection, iterative_shortcut)
+from .bnb import (DEFAULT_MAX_ITERATIONS, ERROR, NOT_REJECT, REJECT, SKIPPED,
+                  UNSURE, analyze_collection, iterative_shortcut)
 from .driver import DEFAULT_CAP, alpha0_survey, full_closed_test, globaltest
 from .linmodel import SpectrumProvider, feature_stats, fit_null
 from .shortcut import DEFAULT_EPSILON, curve_table
@@ -148,7 +148,10 @@ def _load(args):
     return data, null, stats, provider
 
 
-def _resolve_members(data, raw: str) -> tuple[int, ...]:
+def _resolve_active(data, stats, raw: str
+                    ) -> tuple[tuple[int, ...], list[str]]:
+    """`--set` as its active member indices, plus the names of the
+    inactive members it drops."""
     names = _split_names(raw)
     if not names:
         raise ValueError("--set is empty")
@@ -157,20 +160,18 @@ def _resolve_members(data, raw: str) -> tuple[int, ...]:
     if missing:
         raise ValueError("unknown feature name(s) in --set: "
                          + ", ".join(missing))
-    return tuple(sorted({lookup[n] for n in names}))
+    members = sorted({lookup[n] for n in names})
+    active = tuple(j for j in members if stats.active[j])
+    if not active:
+        raise ValueError("tested set has no active members")
+    dropped = [data.feature_names[j] for j in members if not stats.active[j]]
+    return active, dropped
 
 
 def _witness_names(data, witness) -> str:
     if not witness:
         return ""
     return "+".join(data.feature_names[j] for j in witness)
-
-
-def _universe(stats) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in np.nonzero(stats.active)[0])
-    if not idx:
-        raise ValueError("no active features in the dataset")
-    return idx
 
 
 def _echo_response_coding(data, file) -> None:
@@ -182,17 +183,13 @@ def _echo_response_coding(data, file) -> None:
 def cmd_test(args, out=None) -> int:
     out = sys.stdout if out is None else out
     data, _, stats, provider = _load(args)
-    members = _resolve_members(data, args.members)
+    active, dropped = _resolve_active(data, stats, args.members)
     _echo_config(_config_dict(args), out)
     _echo_response_coding(data, out)
-    active = tuple(j for j in members if stats.active[j])
-    if not active:
-        raise ValueError("tested set has no active members")
-    dropped = [data.feature_names[j] for j in members if not stats.active[j]]
     if dropped:
         print(f"# inactive members dropped: {', '.join(dropped)}", file=out)
     single = globaltest(stats, provider, active, args.alpha)
-    res = iterative_shortcut(stats, provider, active, _universe(stats),
+    res = iterative_shortcut(stats, provider, active, stats.active_indices,
                              args.alpha, epsilon=args.epsilon,
                              max_iterations=args.max_iter)
     print(f"set = {'+'.join(data.feature_names[j] for j in active)}",
@@ -248,7 +245,7 @@ def cmd_analyze(args, out=None) -> int:
     row_dicts = [_collection_row_dict(r, data) for r in rows]
     for d, n_listed in zip(row_dicts, listed_sizes):
         d["size"] = n_listed        # names as listed, found or not
-    counts = {d: 0 for d in (REJECT, NOT_REJECT, UNSURE, "skipped", "error")}
+    counts = {d: 0 for d in (REJECT, NOT_REJECT, UNSURE, SKIPPED, ERROR)}
     for r in rows:
         counts[r.decision] = counts.get(r.decision, 0) + 1
     summary = {
@@ -256,8 +253,8 @@ def cmd_analyze(args, out=None) -> int:
         "rejected": counts[REJECT],
         "not_rejected": counts[NOT_REJECT],
         "unsure": counts[UNSURE],
-        "skipped": counts["skipped"],
-        "errors": counts["error"],
+        "skipped": counts[SKIPPED],
+        "errors": counts[ERROR],
     }
     report = tableio.render_report(config, row_dicts, summary)
     out.write(report)
@@ -272,18 +269,15 @@ def cmd_analyze(args, out=None) -> int:
     if args.out:
         tableio.write_results(row_dicts, args.out)
         print(f"# results written to {args.out}", file=out)
-    return 0
+    return 2 if counts[UNSURE] else 0
 
 
 def cmd_curves(args, out=None) -> int:
     out = sys.stdout if out is None else out
     data, _, stats, provider = _load(args)
-    members = _resolve_members(data, args.members)
-    active = tuple(j for j in members if stats.active[j])
-    if not active:
-        raise ValueError("tested set has no active members")
-    rows = curve_table(stats, provider, active, _universe(stats), args.alpha,
-                       samples=args.samples, trunc_tol=args.trunc_tol)
+    active, _ = _resolve_active(data, stats, args.members)
+    rows = curve_table(stats, provider, active, stats.active_indices,
+                       args.alpha, samples=args.samples)
     _echo_config(_config_dict(args), out)
     _echo_response_coding(data, out)
 
@@ -319,11 +313,8 @@ def cmd_curves(args, out=None) -> int:
 def cmd_oracle(args, out=None) -> int:
     out = sys.stdout if out is None else out
     data, _, stats, provider = _load(args)
-    members = _resolve_members(data, args.members)
-    active = tuple(j for j in members if stats.active[j])
-    if not active:
-        raise ValueError("tested set has no active members")
-    universe = _universe(stats)
+    active, _ = _resolve_active(data, stats, args.members)
+    universe = stats.active_indices
     _echo_config(_config_dict(args), out)
     _echo_response_coding(data, out)
 
@@ -387,8 +378,7 @@ def cmd_alpha0_check(args, out=None) -> int:
     rng = np.random.default_rng(args.seed)
     records = alpha0_survey(stats, provider, rng,
                             n_base_sets=args.base_sets,
-                            n_supersets=args.samples,
-                            trunc_tol=args.trunc_tol)
+                            n_supersets=args.samples)
     worst = min(records, key=lambda r: r.alpha0)
     print(f"supersets_audited = {len(records)}", file=out)
     print(f"min_alpha0 = {worst.alpha0:.6g}", file=out)

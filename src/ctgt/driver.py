@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linmodel import FeatureStats, SpectrumProvider
-from .shortcut import (NOT_REJECT, REJECT, _active_sorted, _alpha_checked,
-                       majorizing_vector)
+from .shortcut import (NOT_REJECT, REJECT, ExactTester, _active_sorted,
+                       _alpha_checked, _nested_sorted, majorizing_vector)
 from .wchi2 import alpha0_diagnostic
 
 DEFAULT_CAP = 20
@@ -35,16 +33,20 @@ class GlobaltestResult:
 
 def globaltest(stats: FeatureStats, provider: SpectrumProvider, S,
                alpha: float) -> GlobaltestResult:
-    """Exact test of one feature set against its own null distribution."""
+    """Exact test of one feature set against its own null distribution.
+
+    The decision is ExactTester.reject; the critical value and p-value
+    are reported alongside it.
+    """
     alpha = _alpha_checked(alpha)
     members = _active_sorted(stats, S, "tested set")
-    statistic = float(stats.g[list(members)].sum())
+    exact = ExactTester(stats, provider, alpha)
+    statistic = exact.statistic(members)
     dist = provider.dist(members)
-    critical = dist.quantile(1.0 - alpha)
-    p_value = float(1.0 - dist.cdf(statistic))
     return GlobaltestResult(members=members, statistic=statistic,
-                            critical_value=critical, p_value=p_value,
-                            reject=statistic >= critical)
+                            critical_value=dist.quantile(1.0 - alpha),
+                            p_value=float(1.0 - dist.cdf(statistic)),
+                            reject=exact.reject(members))
 
 
 @dataclass(frozen=True)
@@ -62,32 +64,25 @@ def full_closed_test(stats: FeatureStats, provider: SpectrumProvider, R, F,
     selects the j-th complement feature, complement sorted ascending), so
     R itself comes first and the reported first_failure is the
     lowest-order failing superset.  Stops at the first failure.  Each
-    superset's reject decision uses the identical cdf comparison the
+    superset is decided by ExactTester.reject, the exact test the
     shortcut uses, so agreement checks carry no cross-method tolerance.
     """
     alpha = _alpha_checked(alpha)
-    base = _active_sorted(stats, R, "tested set")
-    top = _active_sorted(stats, F, "universe")
-    if not set(base) <= set(top):
-        raise ValueError("tested set must be contained in the universe")
+    base, top = _nested_sorted(stats, R, F)
     comp = sorted(set(top) - set(base))
     if len(comp) > cap:
         raise EnumerationCapError(
             f"complement size {len(comp)} exceeds the enumeration cap {cap}")
 
-    g = stats.g
-    g_base = float(g[list(base)].sum())
-    threshold = 1.0 - alpha
-    n_tests = 0
+    exact = ExactTester(stats, provider, alpha)
     for mask in range(1 << len(comp)):
-        extra = [comp[j] for j in range(len(comp)) if mask >> j & 1]
-        members = tuple(sorted(base + tuple(extra)))
-        statistic = g_base + float(g[extra].sum()) if extra else g_base
-        n_tests += 1
-        if provider.dist(members).cdf(statistic) < threshold:
-            return OracleResult(decision=NOT_REJECT, n_tests=n_tests,
+        extra = tuple(comp[j] for j in range(len(comp)) if mask >> j & 1)
+        members = tuple(sorted(base + extra))
+        if not exact.reject(members):
+            return OracleResult(decision=NOT_REJECT, n_tests=exact.n_tests,
                                 first_failure=members)
-    return OracleResult(decision=REJECT, n_tests=n_tests, first_failure=None)
+    return OracleResult(decision=REJECT, n_tests=exact.n_tests,
+                        first_failure=None)
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,7 @@ class AlphaZeroRecord:
 
 def alpha0_survey(stats: FeatureStats, provider: SpectrumProvider,
                   rng, n_base_sets: int = 4, n_supersets: int = 100,
-                  max_base_size: int | None = None,
-                  trunc_tol: float = 1e-12) -> list[AlphaZeroRecord]:
+                  max_base_size: int | None = None) -> list[AlphaZeroRecord]:
     """Audit the conservative level bound on random set/superset pairs.
 
     For each sampled base set and each sampled strict superset, compares
@@ -112,9 +106,10 @@ def alpha0_survey(stats: FeatureStats, provider: SpectrumProvider,
     the shortcut's conservatism for sets like those sampled.
 
     Supersets are spread evenly across base sets (remainder to the
-    earlier ones).  Requires at least two active features.
+    earlier ones).  Null distributions use the provider's truncation
+    tolerance.  Requires at least two active features.
     """
-    universe = [int(i) for i in np.nonzero(stats.active)[0]]
+    universe = list(stats.active_indices)
     if len(universe) < 2:
         raise ValueError("need at least two active features")
     if n_base_sets < 1 or n_supersets < n_base_sets:
@@ -142,7 +137,7 @@ def alpha0_survey(stats: FeatureStats, provider: SpectrumProvider,
             lam_sup = provider.spectrum(sup)
             major = majorizing_vector(lam_base, lam_full, lam_sup.level)
             a0 = alpha0_diagnostic(lam_sup.lambdas, major.lambdas,
-                                   trunc_tol=trunc_tol)
+                                   trunc_tol=provider.trunc_tol)
             records.append(AlphaZeroRecord(base=base, superset=sup,
                                            level=lam_sup.level, alpha0=a0))
     return records

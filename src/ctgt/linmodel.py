@@ -11,6 +11,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 50
 INACTIVE_REL_TOL = 1e-12
 EIG_CLAMP_REL_TOL = 1e-10
+# entries a SpectrumProvider keeps before dropping its oldest
+PROVIDER_CACHE_CAP = 10_000
 
 
 class RankDeficientError(ValueError):
@@ -236,12 +239,14 @@ def feature_stats(dataset: Dataset, null: NullModel) -> FeatureStats:
     return FeatureStats(g=g, w=w, q=q, active=active)
 
 
-def _check_index_set(R, n_features: int) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in R)), dtype=int)
-    if idx.size == 0:
-        raise ValueError("feature set must be nonempty")
+def _check_index_set(R, n_features: int,
+                     name: str = "feature set") -> tuple[int, ...]:
+    """R as ascending distinct indices; nonempty and inside [0, n_features)."""
+    idx = tuple(sorted(set(int(i) for i in R)))
+    if not idx:
+        raise ValueError(f"{name} must be nonempty")
     if idx[0] < 0 or idx[-1] >= n_features:
-        raise ValueError("feature index out of range")
+        raise ValueError(f"{name} contains an out-of-range feature index")
     return idx
 
 
@@ -255,7 +260,7 @@ def spectrum(dataset: Dataset, null: NullModel, R) -> Spectrum:
     NumericalBreakdownError.  Only strictly positive eigenvalues are kept.
     """
     idx = _check_index_set(R, dataset.n_features)
-    M = null.residualize(dataset.X[:, idx])
+    M = null.residualize(dataset.X[:, list(idx)])
     n, r = M.shape
     if r <= n:
         G = M.T @ (null.sigma_diag[:, None] * M)
@@ -276,34 +281,43 @@ def spectrum(dataset: Dataset, null: NullModel, R) -> Spectrum:
 class SpectrumProvider:
     """Caches per-set spectra and their null distributions.
 
-    Keyed by frozenset of feature indices.  Reads and writes are plain
-    dict operations, so concurrent use from threads is safe (a race costs
-    at most a recomputation of an identical immutable value).
+    One dict, keyed by frozenset of feature indices, holds each set's
+    spectrum and, once requested, its distribution.  It keeps at most
+    PROVIDER_CACHE_CAP entries; a new set beyond that drops the oldest.
+    Lookups are plain dict reads and inserts happen under a lock, so
+    concurrent use from threads is safe (a race costs at most a
+    recomputation of an identical immutable value).
     """
 
     def __init__(self, dataset: Dataset, null: NullModel,
-                 trunc_tol: float = 1e-12, dist_cache_cap: int = 10_000):
+                 trunc_tol: float = 1e-12):
         self.dataset = dataset
         self.null = null
         self.trunc_tol = float(trunc_tol)
-        self._dist_cache_cap = int(dist_cache_cap)
-        self._spectra: dict[frozenset, Spectrum] = {}
-        self._dists: dict[frozenset, wchi2.WeightedChiSq] = {}
+        # key -> (spectrum, distribution or None until first requested)
+        self._cache: dict[frozenset, tuple] = {}
+        self._lock = threading.Lock()
+
+    def _store(self, key: frozenset, entry: tuple) -> None:
+        with self._lock:
+            full = len(self._cache) >= PROVIDER_CACHE_CAP
+            if full and key not in self._cache:
+                del self._cache[next(iter(self._cache))]
+            self._cache[key] = entry
 
     def spectrum(self, R) -> Spectrum:
         key = frozenset(int(i) for i in R)
-        hit = self._spectra.get(key)
+        hit = self._cache.get(key)
         if hit is None:
-            hit = spectrum(self.dataset, self.null, key)
-            self._spectra[key] = hit
-        return hit
+            hit = (spectrum(self.dataset, self.null, key), None)
+            self._store(key, hit)
+        return hit[0]
 
     def dist(self, R) -> wchi2.WeightedChiSq:
         key = frozenset(int(i) for i in R)
-        hit = self._dists.get(key)
+        spec = self.spectrum(key)
+        hit = self._cache.get(key, (spec, None))[1]
         if hit is None:
-            hit = wchi2.WeightedChiSq(self.spectrum(key), trunc_tol=self.trunc_tol)
-            if len(self._dists) >= self._dist_cache_cap:
-                self._dists.clear()
-            self._dists[key] = hit
+            hit = wchi2.WeightedChiSq(spec, trunc_tol=self.trunc_tol)
+            self._store(key, (spec, hit))
         return hit

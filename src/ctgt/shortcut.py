@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmodel import FeatureStats, Spectrum, SpectrumProvider
+from .linmodel import (FeatureStats, Spectrum, SpectrumProvider,
+                       _check_index_set)
 from .wchi2 import WeightedChiSq, condense_weights
 
 REJECT = "reject"
@@ -60,14 +61,20 @@ def _alpha_checked(alpha: float) -> float:
 
 
 def _active_sorted(stats: FeatureStats, S, name: str) -> tuple[int, ...]:
-    idx = tuple(sorted(set(int(i) for i in S)))
-    if not idx:
-        raise ValueError(f"{name} must be nonempty")
-    if idx[0] < 0 or idx[-1] >= stats.g.size:
-        raise ValueError(f"{name} contains an out-of-range feature index")
+    idx = _check_index_set(S, stats.g.size, name)
     if not stats.active[list(idx)].all():
         raise ValueError(f"{name} contains inactive features")
     return idx
+
+
+def _nested_sorted(stats: FeatureStats, R, F
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """R and F as active sorted sets, with R inside F."""
+    base = _active_sorted(stats, R, "tested set")
+    top = _active_sorted(stats, F, "universe")
+    if not set(base) <= set(top):
+        raise ValueError("tested set must be contained in the universe")
+    return base, top
 
 
 def level(stats: FeatureStats, R) -> float:
@@ -148,10 +155,7 @@ def gmin_curve(stats: FeatureStats, R, F) -> PiecewiseCurve:
     ratios the lower feature index goes first.  Requires R to be a proper
     subset of F (an empty complement leaves no curve to build).
     """
-    base = _active_sorted(stats, R, "base set")
-    top = _active_sorted(stats, F, "universe")
-    if not set(base) <= set(top):
-        raise ValueError("base set must be contained in the universe")
+    base, top = _nested_sorted(stats, R, F)
     comp = np.array(sorted(set(top) - set(base)), dtype=int)
     if comp.size == 0:
         raise ValueError("universe equals the base set; no curve to build")
@@ -243,12 +247,11 @@ def majorizing_vector(lambda_R: Spectrum, lambda_F: Spectrum,
 
 
 def cmax(lambda_R: Spectrum, lambda_F: Spectrum, ell: float, alpha: float,
-         trunc_tol: float = 1e-12,
-         condense_tol: float = CONDENSE_REL_TOL) -> float:
+         trunc_tol: float = 1e-12) -> float:
     """Critical-value upper envelope at level `ell`: the (1 - alpha)-quantile
     of the majorizing vector's distribution."""
     _alpha_checked(alpha)
-    vec = majorizing_vector(lambda_R, lambda_F, ell, condense_tol=condense_tol)
+    vec = majorizing_vector(lambda_R, lambda_F, ell)
     return WeightedChiSq(vec, trunc_tol=trunc_tol).quantile(1.0 - alpha)
 
 
@@ -334,12 +337,15 @@ def crossing_test(curve: PiecewiseCurve, cmax_fn, epsilon: float = DEFAULT_EPSIL
 
 
 class ExactTester:
-    """Exact superset tests against their own spectra, memoized per set.
+    """The exact test of a feature set against its own null distribution.
 
-    The decision `statistic >= critical value` is evaluated as
-    `cdf(statistic) >= 1 - alpha` on the set's own null distribution,
-    which is the same comparison through the same cdf without a quantile
-    search.  `n_tests` counts distinct sets actually evaluated.
+    This is the one place a set's own statistic meets its own null:
+    single_step, globaltest and full_closed_test all decide through
+    `reject`.  The decision `statistic >= critical value` is evaluated as
+    `cdf(statistic) >= 1 - alpha`, the same comparison through the same
+    cdf without a quantile search.  The statistic sums the members' g in
+    the order given (callers pass ascending indices).  `n_tests` counts
+    calls to `reject`.
     """
 
     def __init__(self, stats: FeatureStats, provider: SpectrumProvider,
@@ -347,21 +353,15 @@ class ExactTester:
         self._stats = stats
         self._provider = provider
         self._alpha = alpha
-        self._seen: dict[frozenset, bool] = {}
         self.n_tests = 0
 
     def statistic(self, S) -> float:
         return float(self._stats.g[list(S)].sum())
 
     def reject(self, S) -> bool:
-        key = frozenset(int(i) for i in S)
-        hit = self._seen.get(key)
-        if hit is None:
-            dist = self._provider.dist(key)
-            hit = bool(dist.cdf(self.statistic(key)) >= 1.0 - self._alpha)
-            self._seen[key] = hit
-            self.n_tests += 1
-        return hit
+        self.n_tests += 1
+        dist = self._provider.dist(S)
+        return bool(dist.cdf(self.statistic(S)) >= 1.0 - self._alpha)
 
 
 @dataclass(frozen=True)
@@ -377,26 +377,23 @@ class SingleStepResult:
 
 
 def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
-                alpha: float, epsilon: float = DEFAULT_EPSILON,
-                trunc_tol: float | None = None) -> SingleStepResult:
+                alpha: float, epsilon: float = DEFAULT_EPSILON
+                ) -> SingleStepResult:
     """One shortcut pass for R within universe F.
 
     Decision order: exact tests of R and F (either failing is a witness);
     immediate rejection when R's statistic clears F's critical value; the
-    crossing test; on a crossing, exact tests of every staircase set
-    (first failure is a witness, all passing leaves UNSURE).
+    crossing test; on a crossing, exact tests of the staircase sets
+    between R and F (first failure is a witness, all passing leaves
+    UNSURE).  Its endpoints, staircase 0 and the last, are R and F,
+    which have already passed.
 
     REJECT and NOT_REJECT are final under closed testing at level alpha
     (assuming alpha is within the majorization validity range); UNSURE
     only means this one comparison could not decide.
     """
     alpha = _alpha_checked(alpha)
-    if trunc_tol is None:
-        trunc_tol = provider.trunc_tol
-    base = _active_sorted(stats, R, "tested set")
-    top = _active_sorted(stats, F, "universe")
-    if not set(base) <= set(top):
-        raise ValueError("tested set must be contained in the universe")
+    base, top = _nested_sorted(stats, R, F)
 
     exact = ExactTester(stats, provider, alpha)
     if not exact.reject(base):
@@ -415,14 +412,14 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
     curve = gmin_curve(stats, base, top)
     lam_base = provider.spectrum(base)
     lam_top = provider.spectrum(top)
-    cache = _CmaxCache(lam_base, lam_top, alpha, trunc_tol)
+    cache = _CmaxCache(lam_base, lam_top, alpha, provider.trunc_tol)
     cache.seed(curve.top_level, dist_top.quantile(1.0 - alpha))
     outcome = crossing_test(curve, cache, epsilon)
     if outcome.kind == ABOVE:
         return SingleStepResult(REJECT, None, outcome.n_cmax_evals,
                                 exact.n_tests)
 
-    for k in range(len(curve.order) + 1):
+    for k in range(1, len(curve.order)):
         step_set = curve.staircase(k)
         if not exact.reject(step_set):
             return SingleStepResult(NOT_REJECT, step_set,
@@ -431,8 +428,7 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
 
 
 def curve_table(stats: FeatureStats, provider: SpectrumProvider, R, F,
-                alpha: float, samples: int = 200,
-                trunc_tol: float | None = None) -> list[dict]:
+                alpha: float, samples: int = 200) -> list[dict]:
     """Sampled curve data for diagnostics and export.
 
     Rows of kind "grid" carry (level, gmin, cmax) at evenly spaced levels
@@ -444,12 +440,10 @@ def curve_table(stats: FeatureStats, provider: SpectrumProvider, R, F,
     alpha = _alpha_checked(alpha)
     if samples < 2:
         raise ValueError("need at least two sample points")
-    if trunc_tol is None:
-        trunc_tol = provider.trunc_tol
     curve = gmin_curve(stats, R, F)
     lam_base = provider.spectrum(curve.base)
     lam_top = provider.spectrum(curve.staircase(len(curve.order)))
-    cache = _CmaxCache(lam_base, lam_top, alpha, trunc_tol)
+    cache = _CmaxCache(lam_base, lam_top, alpha, provider.trunc_tol)
     grid = np.unique(np.concatenate((
         np.linspace(curve.base_level, curve.top_level, samples),
         curve.levels)))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnb import DEFAULT_MAX_ITERATIONS, REJECT, analyze_collection
+from .bnb import DEFAULT_MAX_ITERATIONS, REJECT, iterative_shortcut
 from .linmodel import Dataset, SpectrumProvider, feature_stats, fit_null
 from .shortcut import DEFAULT_EPSILON
 
@@ -92,21 +92,20 @@ def _one_replicate(seed_seq, n, m, n_pathways, effect, n_signal, alpha,
     stats = feature_stats(data, null)
     provider = SpectrumProvider(data, null)
     sets = random_index_sets(m, n_pathways, rng)
-    collection = [(f"p{j + 1}", members) for j, members in enumerate(sets)]
-    rows = analyze_collection(stats, provider, collection, alpha,
-                              epsilon=epsilon, max_iterations=max_iterations)
+    universe = stats.active_indices
     signal = set(range(n_signal)) if effect != 0.0 else set()
     false_hits = 0
     null_sets = 0
     true_hits = 0
-    for row, members in zip(rows, sets):
+    for members in sets:
+        rejected = iterative_shortcut(stats, provider, members, universe,
+                                      alpha, epsilon,
+                                      max_iterations).decision == REJECT
         if signal & set(members):
-            if row.decision == REJECT:
-                true_hits += 1    # set overlaps the signal: not a true null
+            true_hits += rejected  # set overlaps the signal: not a true null
             continue
         null_sets += 1
-        if row.decision == REJECT:
-            false_hits += 1
+        false_hits += rejected
     return false_hits, null_sets, true_hits
 
 
@@ -125,6 +124,10 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
     rejected.  With effect 0 every set is a true null.  Replicates use
     independent spawned seeds, so results are reproducible for a given
     seed regardless of worker count.
+
+    A replicate counts in `n_failed` instead of the estimate when drawing
+    its data, fitting its null or deciding any one of its sets raises
+    RuntimeError or ValueError (the typed numeric errors included).
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")

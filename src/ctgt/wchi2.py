@@ -13,10 +13,11 @@ with mixture coefficients from the classical recursion
     a_k = (2k)^{-1} sum_{j=0}^{k-1} g_{k-j} a_j,   g_k = sum_i (1 - beta/lambda_i)^k.
 
 With beta <= min(lambda) every coefficient is nonnegative and they sum to
-one, so truncating once the accumulated mass reaches 1 - trunc_tol bounds
-the absolute cdf error by trunc_tol.  Coefficients depend only on the
-weights, so they are computed once per instance; evaluation uses the
-chi-square ladder identities
+one; WeightedChiSq takes beta = min(lambda), which converges fastest
+among those choices.  Truncating once the accumulated mass reaches
+1 - trunc_tol bounds the absolute cdf error by trunc_tol.  Coefficients
+depend only on the weights, so they are computed once per instance;
+evaluation uses the chi-square ladder identities
 
     f_{d+2k}(x) = f_d(x) * (x/2)^k * Gamma(d/2) / Gamma(d/2 + k)
     F_{d+2k}(x) = F_d(x) - 2 * sum_{j=1}^{k} f_{d+2j}(x)
@@ -34,6 +35,11 @@ _LN2 = float(np.log(2.0))
 
 # weights this small relative to the largest are dropped before the series
 WEIGHT_REL_TOL = 1e-12
+
+# alpha0_diagnostic's scan and bisection settings
+ALPHA0_GRID_POINTS = 256
+ALPHA0_UPPER_TAIL = 1e-6
+ALPHA0_ROOT_TOL = 1e-8
 
 
 class SeriesStallError(RuntimeError):
@@ -62,17 +68,16 @@ class WeightedChiSq:
     lambdas : array-like or spectrum
         Positive weights; entries below 1e-12 times the largest are
         stripped.  Negative entries raise ValueError.
-    beta : float, optional
-        Mixture scale, 0 < beta <= min(lambda).  Defaults to min(lambda),
-        which converges fastest among valid choices.
     trunc_tol : float
-        Certified absolute cdf error bound (default 1e-12).
+        Certified absolute cdf error bound (default 1e-12).  Truncation
+        only drops nonnegative terms, so up to rounding the computed cdf
+        lies in [true cdf - trunc_tol, true cdf].
     max_terms : int
         Series length guard; exceeding it raises SeriesStallError.
     """
 
-    def __init__(self, lambdas, beta: float | None = None,
-                 trunc_tol: float = 1e-12, max_terms: int = 100_000):
+    def __init__(self, lambdas, trunc_tol: float = 1e-12,
+                 max_terms: int = 100_000):
         lam = _as_weights(lambdas)
         if lam.size == 0:
             raise ValueError("at least one weight required")
@@ -81,14 +86,10 @@ class WeightedChiSq:
         lam = lam[lam > WEIGHT_REL_TOL * lam[0]]
         if lam.size == 0:
             raise ValueError("all weights are zero")
-        if beta is None:
-            beta = float(lam[-1])
-        if not 0 < beta <= lam[-1] * (1 + 1e-12):
-            raise ValueError("beta must satisfy 0 < beta <= min(lambda)")
         if not 0 < trunc_tol < 1:
             raise ValueError("trunc_tol must be in (0, 1)")
         self._lam = lam
-        self._beta = float(beta)
+        self._beta = float(lam[-1])
         self._trunc_tol = float(trunc_tol)
         self._coeffs = self._build_coefficients(int(max_terms))
         self._lam.flags.writeable = False
@@ -97,10 +98,6 @@ class WeightedChiSq:
     @property
     def lambdas(self) -> np.ndarray:
         return self._lam
-
-    @property
-    def beta(self) -> float:
-        return self._beta
 
     @property
     def trunc_tol(self) -> float:
@@ -192,30 +189,36 @@ class WeightedChiSq:
         return np.clip(acc, 0.0, 1.0)
 
     def quantile(self, p: float, tol: float = 1e-10) -> float:
-        """Smallest t with |cdf(t) - p| <= tol, via bracketing + bisection."""
+        """Upper end of a bisection bracket of the p-quantile.
+
+        Bisection keeps cdf(lo) < p <= cdf(hi) and returns hi once
+        cdf(hi) - p <= tol, or once lo and hi are adjacent floats.  The
+        result t therefore never lies below the quantile of the computed
+        cdf, and since the computed cdf sits at most trunc_tol below the
+        true one, the true cdf at t lies in [p, p + tol + trunc_tol].
+        """
         if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
         scale = float(self._lam.sum())
         hi = scale * max(float(stats.chi2.ppf(p, 1)), 1.0)
         lo = 0.0
         for _ in range(200):
-            if self.cdf(hi) >= p:
+            c_hi = self.cdf(hi)
+            if c_hi >= p:
                 break
             lo, hi = hi, 2.0 * hi
         else:  # pragma: no cover - cdf tends to 1, bracket must close
             raise RuntimeError("failed to bracket quantile")
-        mid = hi
-        for _ in range(500):
+        while c_hi - p > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             c = self.cdf(mid)
-            if abs(c - p) <= tol:
-                return mid
             if c < p:
                 lo = mid
             else:
-                hi = mid
-        raise RuntimeError(  # pragma: no cover - continuous cdf, cannot stall
-            "quantile bisection did not reach tolerance")
+                hi, c_hi = mid, c
+        return hi
 
 
 def partial_sum_gap(major, minor) -> float:
@@ -279,15 +282,15 @@ def condense_weights(weights, reltol: float) -> np.ndarray:
     return np.asarray(merged, dtype=float)
 
 
-def alpha0_diagnostic(lambda_true, lambda_major, *, trunc_tol: float = 1e-12,
-                      grid_points: int = 256, upper_tail: float = 1e-6,
-                      root_tol: float = 1e-8) -> float:
+def alpha0_diagnostic(lambda_true, lambda_major, *,
+                      trunc_tol: float = 1e-12) -> float:
     """Largest significance level at which the majorizing bound is valid.
 
-    Scans cdf(major) - cdf(true) on a geometric grid from the true
-    distribution's median to its (1 - upper_tail)-quantile, bisects the
-    last sign change t0, and returns the tail probability 1 - cdf_true(t0).
-    For levels alpha <= that value, the (1 - alpha)-quantile of the
+    Scans cdf(major) - cdf(true) on a geometric grid of
+    ALPHA0_GRID_POINTS points from the true distribution's median to its
+    (1 - ALPHA0_UPPER_TAIL)-quantile, bisects the last sign change t0 to
+    relative tolerance ALPHA0_ROOT_TOL, and returns the tail probability
+    1 - cdf_true(t0).  For levels alpha <= that value, the (1 - alpha)-quantile of the
     majorizing distribution dominates the true one.
 
     Degenerate scans: equal weight vectors give 1.0 (no crossing past the
@@ -316,8 +319,8 @@ def alpha0_diagnostic(lambda_true, lambda_major, *, trunc_tol: float = 1e-12,
     dist_t = WeightedChiSq(lam_t, trunc_tol=trunc_tol)
     dist_m = WeightedChiSq(lam_m, trunc_tol=trunc_tol)
     lo = dist_t.quantile(0.5)
-    hi = dist_t.quantile(1.0 - upper_tail)
-    grid = np.geomspace(lo, hi, grid_points)
+    hi = dist_t.quantile(1.0 - ALPHA0_UPPER_TAIL)
+    grid = np.geomspace(lo, hi, ALPHA0_GRID_POINTS)
     diff = dist_m.cdf(grid) - dist_t.cdf(grid)
 
     noise = 10.0 * max(dist_t.trunc_tol, dist_m.trunc_tol)
@@ -331,7 +334,7 @@ def alpha0_diagnostic(lambda_true, lambda_major, *, trunc_tol: float = 1e-12,
     i = int(changes[-1])
     a, b = float(grid[i]), float(grid[i + 1])
     fa = float(diff[i])
-    while b - a > root_tol * (1.0 + b):
+    while b - a > ALPHA0_ROOT_TOL * (1.0 + b):
         m = 0.5 * (a + b)
         fm = float(dist_m.cdf(m) - dist_t.cdf(m))
         if fm == 0.0:

@@ -86,6 +86,19 @@ def test_budget_one_on_a_branching_instance_is_unsure(tmp_path, capsys):
     assert "decision = unsure" in out
 
 
+def test_analyze_exits_two_when_a_set_is_unsure(tmp_path, capsys):
+    data = _write_dataset(tmp_path / "d.csv", seed=26, n=25, m=7,
+                          effect=1.2, n_signal=3)
+    first = _active_names(data)[0]
+    (tmp_path / "one.tsv").write_text(f"one\t\t{first}\n", encoding="utf-8")
+    code = main(["analyze", "--data", str(tmp_path / "d.csv"),
+                 "--response", "y", "--pathways", str(tmp_path / "one.tsv"),
+                 "--max-iter", "1"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "#   unsure = 1" in out
+
+
 def _write_pathways(path):
     lines = [
         "good\tfirst three features\tf1\tf2\tf3",

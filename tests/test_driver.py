@@ -59,6 +59,26 @@ def test_oracle_with_r_equal_f_is_one_test():
         assert oracle.first_failure == single.members
 
 
+def test_globaltest_agrees_with_the_oracle_at_the_decision_boundary():
+    # alpha set to the set's own p-value puts the statistic exactly on
+    # the critical value; both paths decide through the same exact test
+    checked = 0
+    for seed in range(60, 80):
+        data, null, stats, provider = make_instance(seed=seed, n=30, m=6,
+                                                    effect=1.0)
+        F = active_universe(stats)
+        for S in (F[:1], F[:2], F[:3], F):
+            g = float(stats.g[list(S)].sum())
+            alpha = 1.0 - provider.dist(S).cdf(g)
+            if not 0.0 < alpha < 0.5:
+                continue
+            oracle = full_closed_test(stats, provider, S, S, alpha)
+            assert globaltest(stats, provider, S, alpha).reject == (
+                oracle.decision == "reject"), (seed, S)
+            checked += 1
+    assert checked >= 30
+
+
 def test_first_failure_is_first_in_counting_order():
     # replay the documented mask order with the single-set tester and
     # confirm the oracle stopped at the first failing superset

@@ -1,0 +1,21 @@
+"""Error-rate simulation bookkeeping."""
+
+import ctgt
+from ctgt import SeriesStallError, fwer_simulation
+
+
+def test_a_set_that_raises_fails_its_replicate(monkeypatch):
+    real = ctgt.simulate.iterative_shortcut
+    calls = []
+
+    def one_set_stalls(stats, provider, R, *args, **kwargs):
+        calls.append(R)
+        if len(calls) == 3:
+            raise SeriesStallError("stalled")
+        return real(stats, provider, R, *args, **kwargs)
+
+    monkeypatch.setattr(ctgt.simulate, "iterative_shortcut", one_set_stalls)
+    summary = fwer_simulation(n=30, m=5, n_pathways=4, replicates=3, seed=3)
+    assert summary.n_failed == 1
+    assert summary.replicates == 2
+    assert summary.total_null_sets == 8

@@ -78,6 +78,19 @@ def test_quantile_round_trip():
         assert d.cdf(t) == pytest.approx(p, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [0.95, 0.99])
+def test_quantile_is_the_upper_end_of_its_bracket(p):
+    # cmax must bound critical values from above, so the returned point
+    # may not sit below the quantile of the computed cdf
+    rng = np.random.default_rng(0)
+    tol = 1e-10
+    for _ in range(300):
+        lam = rng.uniform(0.05, 5.0, size=int(rng.integers(1, 8)))
+        d = WeightedChiSq(lam)
+        c = d.cdf(d.quantile(p, tol=tol))
+        assert p <= c <= p + tol, lam
+
+
 def test_quantile_scale_equivariance():
     # scaling every weight by c scales every quantile by c
     base = WeightedChiSq([2.0, 1.0, 0.25])
