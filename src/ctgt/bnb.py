@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmodel import FeatureStats, SpectrumProvider
+from .linmodel import FeatureStats, SpectrumProvider, _check_index_set
 from .shortcut import (DEFAULT_EPSILON, NOT_REJECT, REJECT, UNSURE,
                        _alpha_checked, _nested_sorted, single_step)
 
@@ -110,16 +110,20 @@ class CollectionRow:
 def _analyze_one(name, members, stats, provider, universe, alpha, epsilon,
                  max_iterations) -> CollectionRow:
     requested = tuple(dict.fromkeys(int(i) for i in members))
-    in_range = [i for i in requested if 0 <= i < stats.g.size]
-    active = tuple(sorted(i for i in in_range if stats.active[i]))
-    if not active:
-        reason = ("no members" if not requested else
-                  "no active members (constant or confounder-aligned columns)")
-        return CollectionRow(name=name, n_members=len(requested), n_active=0,
-                             level=float("nan"), statistic=float("nan"),
-                             critical_value=float("nan"), decision=SKIPPED,
-                             iterations_used=0, witness=None, note=reason)
+    active = ()
     try:
+        if requested:
+            valid = _check_index_set(requested, stats.g.size, "set")
+            active = tuple(i for i in valid if stats.active[i])
+        if not active:
+            reason = ("no members" if not requested else "no active members "
+                      "(constant or confounder-aligned columns)")
+            return CollectionRow(name=name, n_members=len(requested),
+                                 n_active=0, level=float("nan"),
+                                 statistic=float("nan"),
+                                 critical_value=float("nan"),
+                                 decision=SKIPPED, iterations_used=0,
+                                 witness=None, note=reason)
         lvl = float(stats.w[list(active)].sum())
         statistic = float(stats.g[list(active)].sum())
         critical = provider.dist(active).quantile(1.0 - alpha)
@@ -146,9 +150,10 @@ def analyze_collection(stats: FeatureStats, provider: SpectrumProvider,
                        workers: int = 1) -> list[CollectionRow]:
     """Run the iterative shortcut for every (name, member-indices) pair.
 
-    The universe is the set of all active features.  Sets that resolve to
-    no active member are reported as skipped; per-set errors are captured
-    in the row rather than aborting the batch.  Output order follows
+    The universe is the set of all active features.  Sets with no members
+    or no active member are reported as skipped; per-set errors, an
+    out-of-range member index among them, become `error` rows carrying
+    the message rather than aborting the batch.  Output order follows
     input order regardless of worker count.
     """
     alpha = _alpha_checked(alpha)

@@ -94,8 +94,8 @@ class AlphaZeroRecord:
 
 
 def alpha0_survey(stats: FeatureStats, provider: SpectrumProvider,
-                  rng, n_base_sets: int = 4, n_supersets: int = 100,
-                  max_base_size: int | None = None) -> list[AlphaZeroRecord]:
+                  rng, n_base_sets: int = 4, n_supersets: int = 100
+                  ) -> list[AlphaZeroRecord]:
     """Audit the conservative level bound on random set/superset pairs.
 
     For each sampled base set and each sampled strict superset, compares
@@ -105,18 +105,18 @@ def alpha0_survey(stats: FeatureStats, provider: SpectrumProvider,
     conservative.  A survey minimum above the working alpha certifies
     the shortcut's conservatism for sets like those sampled.
 
-    Supersets are spread evenly across base sets (remainder to the
-    earlier ones).  Null distributions use the provider's truncation
-    tolerance.  Requires at least two active features.
+    Base sets hold between one feature and a quarter of the universe
+    (never all of it); supersets are spread evenly across base sets
+    (remainder to the earlier ones).  Null distributions use the
+    provider's truncation tolerance.  Requires at least two active
+    features.
     """
     universe = list(stats.active_indices)
     if len(universe) < 2:
         raise ValueError("need at least two active features")
     if n_base_sets < 1 or n_supersets < n_base_sets:
         raise ValueError("need n_supersets >= n_base_sets >= 1")
-    if max_base_size is None:
-        max_base_size = max(1, len(universe) // 4)
-    max_base_size = min(max_base_size, len(universe) - 1)
+    max_base_size = min(max(1, len(universe) // 4), len(universe) - 1)
 
     counts = [n_supersets // n_base_sets] * n_base_sets
     for j in range(n_supersets % n_base_sets):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,8 +220,8 @@ class PathwayCollection:
     pathways: tuple[Pathway, ...]
 
     def __post_init__(self):
-        names = [p.name for p in self.pathways]
-        dupes = {n for n in names if names.count(n) > 1}
+        counts = Counter(p.name for p in self.pathways)
+        dupes = {n for n, c in counts.items() if c > 1}
         if dupes:
             raise DuplicatePathwayError(
                 f"duplicate pathway names: {', '.join(sorted(dupes)[:5])}")
@@ -298,11 +299,11 @@ def format_result_rows(rows) -> list[dict]:
     return [{c: fmt_value(row[c]) for c in RESULT_COLUMNS} for row in rows]
 
 
-def write_results(rows, path, delimiter: str = ",") -> None:
-    """Write the results table with its fixed column order."""
+def write_results(rows, path) -> None:
+    """Write the results table, comma-separated, in its fixed column order."""
     formatted = format_result_rows(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
         for row in formatted:
             writer.writerow([row[c] for c in RESULT_COLUMNS])

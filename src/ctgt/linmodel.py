@@ -175,12 +175,12 @@ class Spectrum:
         return self.lambdas.size
 
 
-def fit_null(dataset: Dataset, tol: float = IRLS_TOL,
-             max_iter: int = IRLS_MAX_ITER) -> NullModel:
+def fit_null(dataset: Dataset) -> NullModel:
     """Fit the logistic null model of the response on the confounders.
 
     IRLS on the log-likelihood, started at zero coefficients, declared
-    converged when the largest coefficient change drops below `tol`.
+    converged when the largest coefficient change drops below IRLS_TOL
+    within IRLS_MAX_ITER iterations.
     Raises RankDeficientError for a rank-deficient confounder matrix;
     warns (SeparationWarning) and clamps the means when the fit hits the
     iteration cap or produces means outside [1e-6, 1 - 1e-6].
@@ -194,7 +194,7 @@ def fit_null(dataset: Dataset, tol: float = IRLS_TOL,
 
     gamma = np.zeros(Z.shape[1])
     converged = False
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         eta = Z @ gamma
         mu = 1.0 / (1.0 + np.exp(-eta))
         wvec = np.clip(mu * (1.0 - mu), 1e-10, None)
@@ -203,7 +203,7 @@ def fit_null(dataset: Dataset, tol: float = IRLS_TOL,
         gamma_new, *_ = np.linalg.lstsq(sw[:, None] * Z, sw * z_work, rcond=None)
         step = float(np.max(np.abs(gamma_new - gamma)))
         gamma = gamma_new
-        if step < tol:
+        if step < IRLS_TOL:
             converged = True
             break
 

@@ -40,7 +40,6 @@ ABOVE = "above"
 CROSS = "cross"
 
 DEFAULT_EPSILON = 1e-4
-CMAX_LEVEL_ROUND = 1e-9
 # majorizing-vector entries below this fraction of the largest get merged;
 # caps the weight ratio the mixture series must absorb
 CONDENSE_REL_TOL = 5e-3
@@ -255,37 +254,6 @@ def cmax(lambda_R: Spectrum, lambda_F: Spectrum, ell: float, alpha: float,
     return WeightedChiSq(vec, trunc_tol=trunc_tol).quantile(1.0 - alpha)
 
 
-class _CmaxCache:
-    """cmax evaluations for one (R, F) pair, memoized by rounded level.
-
-    The crossing iteration and the branch-and-bound revisit nearby
-    levels; quantiles are cached under the level rounded to 1e-9.
-    `n_evals` counts calls (hits included), matching the iteration count.
-    """
-
-    def __init__(self, lambda_R: Spectrum, lambda_F: Spectrum, alpha: float,
-                 trunc_tol: float):
-        self._lam_r = lambda_R
-        self._lam_f = lambda_F
-        self._alpha = alpha
-        self._trunc_tol = trunc_tol
-        self._values: dict[int, float] = {}
-        self.n_evals = 0
-
-    def seed(self, ell: float, value: float) -> None:
-        self._values[round(ell / CMAX_LEVEL_ROUND)] = value
-
-    def __call__(self, ell: float) -> float:
-        self.n_evals += 1
-        key = round(ell / CMAX_LEVEL_ROUND)
-        hit = self._values.get(key)
-        if hit is None:
-            hit = cmax(self._lam_r, self._lam_f, ell, self._alpha,
-                       self._trunc_tol)
-            self._values[key] = hit
-        return hit
-
-
 @dataclass(frozen=True)
 class CrossingOutcome:
     kind: str                  # ABOVE or CROSS
@@ -296,9 +264,11 @@ class CrossingOutcome:
 def crossing_test(curve: PiecewiseCurve, cmax_fn, epsilon: float = DEFAULT_EPSILON) -> CrossingOutcome:
     """Decide whether the statistic envelope clears the critical envelope.
 
-    Fixed-point iteration: starting at the top level, repeatedly map the
-    current critical value through the inverse statistic curve and
-    re-evaluate the critical envelope there.  The critical value is run
+    Fixed-point iteration: the first critical value is `cmax_fn` at the
+    top level (single_step answers that call with the universe's own
+    exact critical value); from there, repeatedly map the current
+    critical value through the inverse statistic curve and re-evaluate
+    the critical envelope there.  The critical value is run
     through a running minimum, so the used sequence is nonincreasing
     even if the evaluated envelope wobbles slightly (weight merging in
     the majorizing vector can introduce tiny non-monotone steps); any
@@ -315,25 +285,24 @@ def crossing_test(curve: PiecewiseCurve, cmax_fn, epsilon: float = DEFAULT_EPSIL
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     g_base = curve.base_stat
-    g_top = curve.top_stat
-    l0 = curve.top_level
-    c1 = cmax_fn(l0)
+    level_now = curve.top_level
+    level_before = np.inf
+    c = cmax_fn(level_now)
     n = 1
-    if c1 <= g_base:
-        return CrossingOutcome(kind=ABOVE, level=l0, n_cmax_evals=n)
     max_steps = 10 * int(np.ceil((curve.top_level - curve.base_level)
                                  / epsilon)) + 50
     for _ in range(max_steps):
-        l1 = l0
-        l0 = inverse_gmin(curve, min(max(c1, g_base), g_top))
-        c1 = min(c1, cmax_fn(l0))
+        if c <= g_base:
+            return CrossingOutcome(kind=ABOVE, level=level_now, n_cmax_evals=n)
+        if level_before - level_now <= epsilon:
+            return CrossingOutcome(kind=CROSS, level=level_now, n_cmax_evals=n)
+        # c > g_base here, so the target lies inside the curve's range
+        level_before = level_now
+        level_now = inverse_gmin(curve, min(c, curve.top_stat))
+        c = min(c, cmax_fn(level_now))
         n += 1
-        if c1 <= g_base or l1 - l0 <= epsilon:
-            break
-    else:  # pragma: no cover - progress is forced, bound is generous
-        raise RuntimeError("crossing iteration failed to terminate")
-    kind = ABOVE if c1 <= g_base else CROSS
-    return CrossingOutcome(kind=kind, level=l0, n_cmax_evals=n)
+    raise RuntimeError(  # pragma: no cover - progress is forced
+        "crossing iteration failed to terminate")
 
 
 class ExactTester:
@@ -388,6 +357,10 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
     UNSURE).  Its endpoints, staircase 0 and the last, are R and F,
     which have already passed.
 
+    The crossing test's critical envelope is F's own exact critical
+    value at F's level (`cmax` there condenses F's spectrum and is
+    looser) and one `cmax` call at every other level it visits.
+
     REJECT and NOT_REJECT are final under closed testing at level alpha
     (assuming alpha is within the majorization validity range); UNSURE
     only means this one comparison could not decide.
@@ -412,9 +385,14 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
     curve = gmin_curve(stats, base, top)
     lam_base = provider.spectrum(base)
     lam_top = provider.spectrum(top)
-    cache = _CmaxCache(lam_base, lam_top, alpha, provider.trunc_tol)
-    cache.seed(curve.top_level, dist_top.quantile(1.0 - alpha))
-    outcome = crossing_test(curve, cache, epsilon)
+    c_top = dist_top.quantile(1.0 - alpha)
+
+    def envelope(ell: float) -> float:
+        if ell == curve.top_level:
+            return c_top
+        return cmax(lam_base, lam_top, ell, alpha, provider.trunc_tol)
+
+    outcome = crossing_test(curve, envelope, epsilon)
     if outcome.kind == ABOVE:
         return SingleStepResult(REJECT, None, outcome.n_cmax_evals,
                                 exact.n_tests)
@@ -443,12 +421,13 @@ def curve_table(stats: FeatureStats, provider: SpectrumProvider, R, F,
     curve = gmin_curve(stats, R, F)
     lam_base = provider.spectrum(curve.base)
     lam_top = provider.spectrum(curve.staircase(len(curve.order)))
-    cache = _CmaxCache(lam_base, lam_top, alpha, provider.trunc_tol)
     grid = np.unique(np.concatenate((
         np.linspace(curve.base_level, curve.top_level, samples),
         curve.levels)))
     rows = [{"kind": "grid", "level": float(l),
-             "gmin": float(curve.evaluate(l)), "cmax": float(cache(l))}
+             "gmin": float(curve.evaluate(l)),
+             "cmax": float(cmax(lam_base, lam_top, l, alpha,
+                                provider.trunc_tol))}
             for l in grid]
     for k in range(len(curve.order) + 1):
         members = curve.staircase(k)

@@ -8,10 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnb import DEFAULT_MAX_ITERATIONS, REJECT, iterative_shortcut
-from .linmodel import Dataset, SpectrumProvider, feature_stats, fit_null
-from .shortcut import DEFAULT_EPSILON
+from .linmodel import (Dataset, RankDeficientError, SpectrumProvider,
+                       feature_stats, fit_null)
+from .shortcut import (DEFAULT_EPSILON, InfeasibleLevelError,
+                       TargetOutOfRangeError)
 
 MAX_REDRAWS = 100
+# random_index_sets draws sizes from this up to half the features
+RANDOM_SET_MIN_SIZE = 2
 
 
 def logistic_dataset(n: int, m: int, effect: float = 0.0, n_signal: int = 1,
@@ -48,18 +52,17 @@ def logistic_dataset(n: int, m: int, effect: float = 0.0, n_signal: int = 1,
     return Dataset(y=y, Z=Z, X=X, feature_names=names, sample_ids=ids)
 
 
-def random_index_sets(m: int, n_sets: int, rng: np.random.Generator,
-                      min_size: int = 2, max_size: int | None = None
+def random_index_sets(m: int, n_sets: int, rng: np.random.Generator
                       ) -> list[tuple[int, ...]]:
-    """Random feature-index sets, sizes uniform on [min_size, max_size]."""
-    if max_size is None:
-        max_size = max(min_size, m // 2)
-    max_size = min(max_size, m)
-    if min_size > max_size:
-        raise ValueError("min_size exceeds max_size")
+    """Random sets of distinct indices in [0, m), sizes uniform on
+    [RANDOM_SET_MIN_SIZE, max(RANDOM_SET_MIN_SIZE, m // 2)]; needs
+    m >= RANDOM_SET_MIN_SIZE."""
+    if m < RANDOM_SET_MIN_SIZE:
+        raise ValueError(f"need at least {RANDOM_SET_MIN_SIZE} features")
+    max_size = max(RANDOM_SET_MIN_SIZE, m // 2)
     out = []
     for _ in range(n_sets):
-        k = int(rng.integers(min_size, max_size + 1))
+        k = int(rng.integers(RANDOM_SET_MIN_SIZE, max_size + 1))
         out.append(tuple(sorted(rng.choice(m, size=k, replace=False))))
     return out
 
@@ -68,7 +71,9 @@ def random_index_sets(m: int, n_sets: int, rng: np.random.Generator,
 class FwerSummary:
     """Outcome of a family-wise error rate simulation."""
     replicates: int
-    n_failed: int                 # replicates aborted by numerical errors
+    n_failed: int                 # replicates aborted by a RuntimeError or a
+                                  # RankDeficient/InfeasibleLevel/
+                                  # TargetOutOfRange error
     n_any_false_rejection: int
     fwer_estimate: float
     std_error: float              # binomial SE of the estimate
@@ -127,7 +132,10 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
 
     A replicate counts in `n_failed` instead of the estimate when drawing
     its data, fitting its null or deciding any one of its sets raises
-    RuntimeError or ValueError (the typed numeric errors included).
+    RuntimeError (SeriesStallError, NumericalBreakdownError and a failed
+    two-class redraw among them), RankDeficientError, InfeasibleLevelError
+    or TargetOutOfRangeError.  Any other ValueError is a caller error,
+    such as an alpha outside (0, 0.5), and propagates.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
@@ -137,7 +145,8 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
         try:
             return _one_replicate(child, n, m, n_pathways, effect, n_signal,
                                   alpha, epsilon, max_iterations)
-        except (RuntimeError, ValueError):
+        except (RuntimeError, RankDeficientError, InfeasibleLevelError,
+                TargetOutOfRangeError):
             return None
 
     if workers > 1:

@@ -28,6 +28,8 @@ vectorized exp/cumsum work over the retained terms.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 from scipy import special, stats
 
@@ -249,9 +251,10 @@ def majorizes(major, minor, tol: float = 1e-8) -> bool:
 def condense_weights(weights, reltol: float) -> np.ndarray:
     """Merge weights below reltol * max into lumps; returns sorted desc.
 
-    Repeatedly replaces the two smallest entries by their sum while the
-    smallest entry is below the threshold.  Each merge is a transfer onto
-    a single coordinate, so the result majorizes the input (same total,
+    Repeatedly replaces the two smallest entries by their sum (popped
+    from and pushed back onto a min-heap) while the smallest entry is
+    below the threshold.  Each merge is a transfer onto a single
+    coordinate, so the result majorizes the input (same total,
     partial sums only grow) and the matching weighted chi-square variable
     is larger in the sense the envelope construction needs.  Bounding the
     weight ratio this way caps the mixture series length, which grows
@@ -268,18 +271,10 @@ def condense_weights(weights, reltol: float) -> np.ndarray:
     tau = reltol * v[0]
     if v[-1] >= tau:
         return v
-    merged = list(v)               # kept sorted descending
-    while len(merged) >= 2 and merged[-1] < tau:
-        lump = merged.pop() + merged.pop()
-        lo, hi = 0, len(merged)
-        while lo < hi:             # descending insertion point
-            mid = (lo + hi) // 2
-            if merged[mid] >= lump:
-                lo = mid + 1
-            else:
-                hi = mid
-        merged.insert(lo, lump)
-    return np.asarray(merged, dtype=float)
+    heap = v[::-1].tolist()        # ascending, hence already a min-heap
+    while len(heap) >= 2 and heap[0] < tau:
+        heapq.heappush(heap, heapq.heappop(heap) + heapq.heappop(heap))
+    return np.sort(np.asarray(heap, dtype=float))[::-1]
 
 
 def alpha0_diagnostic(lambda_true, lambda_major, *,

@@ -198,3 +198,20 @@ def test_analyze_collection_threaded_matches_serial():
             for r in serial] == \
            [(r.name, r.decision, r.iterations_used, r.witness)
             for r in threaded]
+
+
+def test_analyze_collection_reports_out_of_range_members_as_errors():
+    data = ctgt.logistic_dataset(30, 6, effect=1.5, n_signal=2,
+                                 rng=np.random.default_rng(7))
+    null = ctgt.fit_null(data)
+    stats = ctgt.feature_stats(data, null)
+    provider = ctgt.SpectrumProvider(data, null)
+    jobs = [("bad", (0, 1, 999)), ("high", (999,)), ("negative", (-1,)),
+            ("good", (0, 1)), ("empty", ())]
+    rows = analyze_collection(stats, provider, jobs, 0.05)
+    for r in rows[:3]:
+        assert r.decision == "error", r
+        assert "out-of-range" in r.note
+    assert rows[3].decision in ("reject", "not_reject", "unsure")
+    assert rows[4].decision == "skipped"
+    assert rows[4].note == "no members"

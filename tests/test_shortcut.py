@@ -11,7 +11,6 @@ from ctgt import (FeatureStats, InfeasibleLevelError, Spectrum,
                   TargetOutOfRangeError, WeightedChiSq, cmax, crossing_test,
                   curve_table, full_closed_test, gmin_curve, inverse_gmin,
                   level, majorizes, majorizing_vector, single_step)
-from ctgt.shortcut import _CmaxCache
 
 from conftest import active_universe, make_instance
 
@@ -194,18 +193,26 @@ def test_cmax_bounds_exact_critical_values():
             assert bound >= exact_c - 1e-7, S
 
 
-def test_cmax_cache_counts_and_reuses():
-    data, null, stats, provider = make_instance(seed=139, n=30, m=5)
+def test_single_step_starts_the_crossing_at_the_universe_critical_value(
+        monkeypatch):
+    data, null, stats, provider = make_instance(seed=139, n=30, m=8,
+                                                effect=2.0, n_signal=2)
     F = active_universe(stats)
-    lam_r = provider.spectrum(F[:1])
-    lam_f = provider.spectrum(F)
-    cache = _CmaxCache(lam_r, lam_f, 0.05, 1e-12)
-    a = cache(lam_f.level)
-    b = cache(lam_f.level)
-    assert a == b
-    assert cache.n_evals == 2                 # calls counted, work cached
-    cache.seed(lam_r.level, 123.0)
-    assert cache(lam_r.level) == 123.0
+    real = ctgt.shortcut.crossing_test
+    seen = []
+
+    def spy(curve, cmax_fn, epsilon):
+        seen.append((curve, cmax_fn))
+        return real(curve, cmax_fn, epsilon)
+
+    monkeypatch.setattr(ctgt.shortcut, "crossing_test", spy)
+    single_step(stats, provider, F[:1], F, 0.05)
+    assert len(seen) == 1                     # the pair reaches the crossing
+    curve, cmax_fn = seen[0]
+    assert cmax_fn(curve.top_level) == provider.dist(F).quantile(0.95)
+    below = curve.levels[-2]
+    assert cmax_fn(below) == cmax(provider.spectrum(F[:1]),
+                                  provider.spectrum(F), below, 0.05)
 
 
 def test_crossing_strong_signal_is_above_in_one_evaluation():

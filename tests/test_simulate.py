@@ -1,5 +1,7 @@
 """Error-rate simulation bookkeeping."""
 
+import pytest
+
 import ctgt
 from ctgt import SeriesStallError, fwer_simulation
 
@@ -19,3 +21,8 @@ def test_a_set_that_raises_fails_its_replicate(monkeypatch):
     assert summary.n_failed == 1
     assert summary.replicates == 2
     assert summary.total_null_sets == 8
+
+
+def test_a_caller_error_propagates_instead_of_failing_replicates():
+    with pytest.raises(ValueError, match="alpha"):
+        fwer_simulation(replicates=3, alpha=0.7, seed=1)

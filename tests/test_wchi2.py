@@ -149,6 +149,27 @@ def test_condense_lumps_many_tiny_entries():
     assert majorizes(c, w, tol=1e-12)
 
 
+def test_condense_matches_a_sorted_list_merge_bit_for_bit():
+    def reference(v, reltol):
+        merged = sorted(v, reverse=True)
+        tau = reltol * merged[0]
+        while len(merged) >= 2 and merged[-1] < tau:
+            merged.append(merged.pop() + merged.pop())
+            merged.sort(reverse=True)
+        return np.array(merged)
+
+    rng = np.random.default_rng(43)
+    for trial in range(600):
+        d = int(rng.integers(1, 30))
+        if trial % 2:
+            v = np.exp(rng.uniform(-15.0, 2.0, d))
+        else:                                     # many ties
+            v = rng.choice([1e-5, 2e-5, 1e-3, 0.5, 1.0, 3.0], d)
+        reltol = float(rng.choice([5e-3, 2e-2, 0.1, 0.5]))
+        got = condense_weights(v, reltol)
+        assert np.array_equal(got, reference(v, reltol)), (v, reltol)
+
+
 def test_condense_unblocks_the_series():
     # raw ratio 5e6 would stall; the condensed vector evaluates fine
     raw = np.array([5.0, 1.0, 1e-6])
