@@ -14,8 +14,10 @@ monotone in the budget: extra iterations never flip a sure decision.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -107,8 +109,20 @@ class CollectionRow:
     note: str = ""
 
 
-def _analyze_one(name, members, stats, provider, universe, alpha, epsilon,
-                 max_iterations) -> CollectionRow:
+def _ordered_map(fn, items: list, workers: int) -> list:
+    """[fn(x) for x in items], in up to `workers` spawned processes that
+    take one item at a time, so a few costly items do not queue behind
+    each other in one process's share."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(min(workers, len(items)),
+                             mp_context=get_context("spawn")) as pool:
+        return list(pool.map(fn, items))
+
+
+def _analyze_one(stats, provider, universe, alpha, epsilon, max_iterations,
+                 job) -> CollectionRow:
+    name, members = job
     requested = tuple(dict.fromkeys(int(i) for i in members))
     active = ()
     try:
@@ -135,7 +149,7 @@ def _analyze_one(name, members, stats, provider, universe, alpha, epsilon,
                              decision=res.decision,
                              iterations_used=res.iterations_used,
                              witness=res.witness)
-    except Exception as exc:  # per-set failures become rows, not aborts
+    except (ValueError, RuntimeError) as exc:  # a TypeError etc. propagates
         return CollectionRow(name=name, n_members=len(requested),
                              n_active=len(active), level=float("nan"),
                              statistic=float("nan"),
@@ -153,20 +167,14 @@ def analyze_collection(stats: FeatureStats, provider: SpectrumProvider,
     The universe is the set of all active features.  Sets with no members
     or no active member are reported as skipped; per-set errors, an
     out-of-range member index among them, become `error` rows carrying
-    the message rather than aborting the batch.  Output order follows
-    input order regardless of worker count.
+    the message rather than aborting the batch.  With `workers` > 1 the
+    sets run in worker processes, each with its own copy of `provider`;
+    rows and their order do not depend on the worker count.
     """
     alpha = _alpha_checked(alpha)
     universe = stats.active_indices
     if not universe:
         raise ValueError("no active features in the dataset")
     jobs = [(str(name), members) for name, members in collection]
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda job: _analyze_one(job[0], job[1], stats, provider,
-                                         universe, alpha, epsilon,
-                                         max_iterations),
-                jobs))
-    return [_analyze_one(name, members, stats, provider, universe, alpha,
-                         epsilon, max_iterations) for name, members in jobs]
+    return _ordered_map(partial(_analyze_one, stats, provider, universe,
+                                alpha, epsilon, max_iterations), jobs, workers)

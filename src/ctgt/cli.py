@@ -40,17 +40,21 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    default="none", help="feature normalization")
 
 
-def _add_run_args(p: argparse.ArgumentParser) -> None:
+def _add_run_args(p: argparse.ArgumentParser, search: bool = True,
+                  trunc_tol: bool = True, workers: bool = False) -> None:
     p.add_argument("--alpha", type=float, default=0.05,
                    help="significance level, in (0, 0.5)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                   help="level-convergence tolerance of the crossing search")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
-                   dest="max_iter", help="iteration budget per tested set")
-    p.add_argument("--trunc-tol", type=float, default=1e-12, dest="trunc_tol",
-                   help="series truncation tolerance for null distributions")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for batch commands")
+    if search:
+        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                       help="convergence tolerance of the crossing search")
+        p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
+                       dest="max_iter", help="iteration budget per tested set")
+    if trunc_tol:
+        p.add_argument("--trunc-tol", type=float, default=1e-12,
+                       dest="trunc_tol", help="series truncation tolerance")
+    if workers:
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes")
 
 
 def _add_set_arg(p: argparse.ArgumentParser) -> None:
@@ -72,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run a pathway collection")
     _add_data_args(p)
-    _add_run_args(p)
+    _add_run_args(p, workers=True)
     p.add_argument("--pathways", required=True, help="pathway file")
     p.add_argument("--singletons", action="store_true",
                    help="also test every feature as a singleton set")
@@ -81,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="export decision envelopes for a set")
     _add_data_args(p)
     _add_set_arg(p)
-    _add_run_args(p)
+    _add_run_args(p, search=False)
     p.add_argument("--samples", type=int, default=200,
                    help="evenly spaced levels to tabulate")
     p.add_argument("--out", help="write the curve table here (TSV)")
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest complement size to enumerate")
 
     p = sub.add_parser("simulate", help="estimate error rates on drawn data")
-    _add_run_args(p)
+    _add_run_args(p, trunc_tol=False, workers=True)
     p.add_argument("--n", type=int, default=50, help="samples per replicate")
     p.add_argument("--m", type=int, default=20, help="features per replicate")
     p.add_argument("--n-pathways", type=int, default=30, dest="n_pathways",
@@ -111,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha0-check",
                        help="audit bound conservatism on random supersets")
     _add_data_args(p)
-    _add_run_args(p)
+    _add_run_args(p, search=False)
     p.add_argument("--samples", type=int, default=100,
                    help="total random supersets to audit")
     p.add_argument("--base-sets", type=int, default=4, dest="base_sets",
@@ -412,11 +416,14 @@ def main(argv=None) -> int:
         print(f"error: --alpha must be in (0, 0.5), got {args.alpha}",
               file=sys.stderr)
         return 1
-    if args.epsilon <= 0.0:
+    if "epsilon" in args and args.epsilon <= 0.0:
         print("error: --epsilon must be positive", file=sys.stderr)
         return 1
-    if args.max_iter < 1:
+    if "max_iter" in args and args.max_iter < 1:
         print("error: --max-iter must be at least 1", file=sys.stderr)
+        return 1
+    if "workers" in args and args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args)

@@ -5,13 +5,12 @@ regression of the response on the confounders alone yields fitted means
 and the plug-in diagonal covariance; the (unweighted) confounder
 projector turns feature columns into residualized columns; from those
 come per-feature statistics and weights, and the eigenvalue spectrum of
-any feature set's quadratic form.  Every derived object is immutable
-after construction and safe to share across threads.
+any feature set's quadratic form.  Every derived object except the
+SpectrumProvider cache is immutable after construction.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -284,9 +283,8 @@ class SpectrumProvider:
     One dict, keyed by frozenset of feature indices, holds each set's
     spectrum and, once requested, its distribution.  It keeps at most
     PROVIDER_CACHE_CAP entries; a new set beyond that drops the oldest.
-    Lookups are plain dict reads and inserts happen under a lock, so
-    concurrent use from threads is safe (a race costs at most a
-    recomputation of an identical immutable value).
+    A provider is used from one thread; batch functions with workers > 1
+    give each worker process its own copy.
     """
 
     def __init__(self, dataset: Dataset, null: NullModel,
@@ -296,14 +294,12 @@ class SpectrumProvider:
         self.trunc_tol = float(trunc_tol)
         # key -> (spectrum, distribution or None until first requested)
         self._cache: dict[frozenset, tuple] = {}
-        self._lock = threading.Lock()
 
     def _store(self, key: frozenset, entry: tuple) -> None:
-        with self._lock:
-            full = len(self._cache) >= PROVIDER_CACHE_CAP
-            if full and key not in self._cache:
-                del self._cache[next(iter(self._cache))]
-            self._cache[key] = entry
+        full = len(self._cache) >= PROVIDER_CACHE_CAP
+        if full and key not in self._cache:
+            del self._cache[next(iter(self._cache))]
+        self._cache[key] = entry
 
     def spectrum(self, R) -> Spectrum:
         key = frozenset(int(i) for i in R)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bnb import DEFAULT_MAX_ITERATIONS, REJECT, iterative_shortcut
+from .bnb import (DEFAULT_MAX_ITERATIONS, REJECT, _ordered_map,
+                  iterative_shortcut)
 from .linmodel import (Dataset, RankDeficientError, SpectrumProvider,
                        feature_stats, fit_null)
 from .shortcut import (DEFAULT_EPSILON, InfeasibleLevelError,
@@ -89,29 +90,36 @@ class FwerSummary:
                 f"with a false rejection; alpha={self.alpha})")
 
 
-def _one_replicate(seed_seq, n, m, n_pathways, effect, n_signal, alpha,
-                   epsilon, max_iterations):
-    rng = np.random.default_rng(seed_seq)
-    data = logistic_dataset(n, m, effect=effect, n_signal=n_signal, rng=rng)
-    null = fit_null(data)
-    stats = feature_stats(data, null)
-    provider = SpectrumProvider(data, null)
-    sets = random_index_sets(m, n_pathways, rng)
-    universe = stats.active_indices
-    signal = set(range(n_signal)) if effect != 0.0 else set()
-    false_hits = 0
-    null_sets = 0
-    true_hits = 0
-    for members in sets:
-        rejected = iterative_shortcut(stats, provider, members, universe,
-                                      alpha, epsilon,
-                                      max_iterations).decision == REJECT
-        if signal & set(members):
-            true_hits += rejected  # set overlaps the signal: not a true null
-            continue
-        null_sets += 1
-        false_hits += rejected
-    return false_hits, null_sets, true_hits
+def _one_replicate(n, m, n_pathways, effect, n_signal, alpha, epsilon,
+                   max_iterations, seed_seq):
+    """(false hits, null sets, true hits) of one replicate, or None when
+    it fails (see fwer_simulation)."""
+    try:
+        rng = np.random.default_rng(seed_seq)
+        data = logistic_dataset(n, m, effect=effect, n_signal=n_signal,
+                                rng=rng)
+        null = fit_null(data)
+        stats = feature_stats(data, null)
+        provider = SpectrumProvider(data, null)
+        sets = random_index_sets(m, n_pathways, rng)
+        universe = stats.active_indices
+        signal = set(range(n_signal)) if effect != 0.0 else set()
+        false_hits = 0
+        null_sets = 0
+        true_hits = 0
+        for members in sets:
+            rejected = iterative_shortcut(stats, provider, members, universe,
+                                          alpha, epsilon,
+                                          max_iterations).decision == REJECT
+            if signal & set(members):
+                true_hits += rejected  # overlaps the signal: not a true null
+                continue
+            null_sets += 1
+            false_hits += rejected
+        return false_hits, null_sets, true_hits
+    except (RuntimeError, RankDeficientError, InfeasibleLevelError,
+            TargetOutOfRangeError):
+        return None
 
 
 def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
@@ -127,8 +135,8 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
     collection, runs the iterative shortcut on every set, and counts a
     family-wise error when any set containing no signal feature is
     rejected.  With effect 0 every set is a true null.  Replicates use
-    independent spawned seeds, so results are reproducible for a given
-    seed regardless of worker count.
+    independent spawned seeds, in worker processes when `workers` > 1, so
+    results are reproducible for a given seed regardless of worker count.
 
     A replicate counts in `n_failed` instead of the estimate when drawing
     its data, fitting its null or deciding any one of its sets raises
@@ -140,21 +148,9 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     children = np.random.SeedSequence(seed).spawn(replicates)
-
-    def run(child):
-        try:
-            return _one_replicate(child, n, m, n_pathways, effect, n_signal,
-                                  alpha, epsilon, max_iterations)
-        except (RuntimeError, RankDeficientError, InfeasibleLevelError,
-                TargetOutOfRangeError):
-            return None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, children))
-    else:
-        outcomes = [run(child) for child in children]
-
+    outcomes = _ordered_map(partial(_one_replicate, n, m, n_pathways, effect,
+                                    n_signal, alpha, epsilon, max_iterations),
+                            children, workers)
     ok = [o for o in outcomes if o is not None]
     n_failed = replicates - len(ok)
     if not ok:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 _LN2 = float(np.log(2.0))
 
@@ -202,7 +202,8 @@ class WeightedChiSq:
         if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
         scale = float(self._lam.sum())
-        hi = scale * max(float(stats.chi2.ppf(p, 1)), 1.0)
+        # the chi2(1) p-quantile as scipy.stats computes it, without its import
+        hi = scale * max(2.0 * float(special.gammaincinv(0.5, p)), 1.0)
         lo = 0.0
         for _ in range(200):
             c_hi = self.cdf(hi)

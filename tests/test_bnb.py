@@ -188,7 +188,7 @@ def test_analyze_collection_rows_and_order():
         assert np.isfinite(r.critical_value)
 
 
-def test_analyze_collection_threaded_matches_serial():
+def test_analyze_collection_in_processes_matches_serial():
     data, null, stats, provider = make_instance(seed=481, n=30, m=8,
                                                 effect=1.0, n_signal=2)
     jobs = [(f"set{k}", (k, (k + 1) % 8, (k + 3) % 8)) for k in range(8)]
@@ -215,3 +215,22 @@ def test_analyze_collection_reports_out_of_range_members_as_errors():
     assert rows[3].decision in ("reject", "not_reject", "unsure")
     assert rows[4].decision == "skipped"
     assert rows[4].note == "no members"
+
+
+def test_analyze_collection_rows_only_typed_failures(monkeypatch):
+    data, null, stats, provider = make_instance(seed=482, n=30, m=6)
+    jobs = [("a", (0, 1)), ("b", (2, 3))]
+
+    def stalls(*args, **kwargs):
+        raise ctgt.SeriesStallError("stalled")
+
+    monkeypatch.setattr(ctgt.bnb, "iterative_shortcut", stalls)
+    rows = analyze_collection(stats, provider, jobs, 0.05)
+    assert [(r.decision, r.note) for r in rows] == [("error", "stalled")] * 2
+
+    def bug(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(ctgt.bnb, "iterative_shortcut", bug)
+    with pytest.raises(TypeError, match="programming error"):
+        analyze_collection(stats, provider, jobs, 0.05)

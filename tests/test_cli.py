@@ -64,6 +64,30 @@ def test_flag_validation_rejects_bad_values(tmp_path, capsys):
     assert "--max-iter" in capsys.readouterr().err
 
 
+def test_each_subcommand_accepts_only_the_flags_it_reads(tmp_path, capsys):
+    data = ["--data", str(tmp_path / "d.csv"), "--response", "y"]
+    one_set = data + ["--set", "f1"]
+    unread = [(["test"] + one_set, "--workers"),
+              (["curves"] + one_set, "--workers"),
+              (["curves"] + one_set, "--epsilon"),
+              (["curves"] + one_set, "--max-iter"),
+              (["oracle"] + one_set, "--workers"),
+              (["simulate"], "--trunc-tol"),
+              (["alpha0-check"] + data, "--workers"),
+              (["alpha0-check"] + data, "--epsilon"),
+              (["alpha0-check"] + data, "--max-iter")]
+    for args, flag in unread:
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["simulate", "--workers", "0"]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert main(["analyze"] + data + ["--pathways", str(tmp_path / "p.tsv"),
+                                      "--workers", "-3"]) == 1
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_missing_response_column_is_exit_one(tmp_path, capsys):
     _write_dataset(tmp_path / "d.csv")
     code = main(["test", "--data", str(tmp_path / "d.csv"),

@@ -1,7 +1,5 @@
 """Null model fit, per-feature statistics, and set spectra."""
 
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -230,38 +228,6 @@ def test_provider_cache_is_bounded(monkeypatch):
         assert len(provider._cache) <= 4
         assert np.array_equal(lam, fresh.spectrum(R).lambdas)
         assert c == fresh.dist(R).cdf(t)
-
-
-def test_provider_cache_survives_concurrent_use(monkeypatch):
-    monkeypatch.setattr(ctgt.linmodel, "PROVIDER_CACHE_CAP", 4)
-    data, null, stats, provider = make_instance(seed=42, n=30, m=6)
-    fresh = ctgt.SpectrumProvider(data, null)
-    sets = [(j,) for j in range(6)] + [(0, j) for j in range(1, 6)]
-    want = {R: fresh.dist(R).cdf(1.0) for R in sets}
-    errors = []
-
-    def hammer(k):
-        try:
-            for i in range(150):
-                R = sets[(i * (k + 1)) % len(sets)]
-                assert provider.dist(R).cdf(1.0) == want[R]
-                assert len(provider._cache) <= 4
-        except Exception as exc:
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hammer, args=(k,))
-                   for k in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
 
 
 def test_spectrum_function_matches_provider():

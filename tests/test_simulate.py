@@ -23,6 +23,13 @@ def test_a_set_that_raises_fails_its_replicate(monkeypatch):
     assert summary.total_null_sets == 8
 
 
-def test_a_caller_error_propagates_instead_of_failing_replicates():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_caller_error_propagates_instead_of_failing_replicates(workers):
     with pytest.raises(ValueError, match="alpha"):
-        fwer_simulation(replicates=3, alpha=0.7, seed=1)
+        fwer_simulation(replicates=3, alpha=0.7, seed=1, workers=workers)
+
+
+def test_worker_processes_give_the_serial_summary():
+    kwargs = dict(n=30, m=6, n_pathways=5, replicates=6, seed=1)
+    assert fwer_simulation(**kwargs, workers=2) == \
+           fwer_simulation(**kwargs, workers=1)

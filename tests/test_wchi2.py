@@ -5,10 +5,15 @@ inverting the characteristic function (oscillatory quadrature at 40
 decimal digits); they are frozen here.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import ctgt
 from ctgt import (MajorizationError, SeriesStallError, WeightedChiSq,
                   alpha0_diagnostic, condense_weights, majorizes,
                   partial_sum_gap)
@@ -249,3 +254,12 @@ def test_dominance_sanity_random_pairs():
         q_minor = WeightedChiSq(minor).quantile(0.95)
         q_major = WeightedChiSq(np.maximum(major, 1e-9)).quantile(0.95)
         assert q_major >= q_minor - 1e-7
+
+
+def test_importing_ctgt_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(ctgt.__file__))
+    code = "import sys, ctgt; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
