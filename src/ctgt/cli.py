@@ -51,10 +51,13 @@ def _add_run_args(p: argparse.ArgumentParser, search: bool = True,
                        dest="max_iter", help="iteration budget per tested set")
     if trunc_tol:
         p.add_argument("--trunc-tol", type=float, default=1e-12,
-                       dest="trunc_tol", help="series truncation tolerance")
+                       dest="trunc_tol",
+                       help="series truncation tolerance, in (0, 1)")
     if workers:
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes")
+                       help="worker processes; each costs about half a "
+                            "second to start, so they pay off only for "
+                            "batches that run for many seconds serially")
 
 
 def _add_set_arg(p: argparse.ArgumentParser) -> None:
@@ -418,6 +421,10 @@ def main(argv=None) -> int:
         return 1
     if "epsilon" in args and args.epsilon <= 0.0:
         print("error: --epsilon must be positive", file=sys.stderr)
+        return 1
+    if "trunc_tol" in args and not 0.0 < args.trunc_tol < 1.0:
+        print(f"error: --trunc-tol must be in (0, 1), got {args.trunc_tol}",
+              file=sys.stderr)
         return 1
     if "max_iter" in args and args.max_iter < 1:
         print("error: --max-iter must be at least 1", file=sys.stderr)

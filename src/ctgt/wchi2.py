@@ -1,29 +1,49 @@
 """Distribution of a nonnegative weighted sum of chi-square(1) variables.
 
-For weights lambda_1 >= ... >= lambda_d > 0 and any scale
-0 < beta <= min(lambda), the variable Q = sum_i lambda_i V_i (V_i iid
-chi-square with one degree of freedom) is an infinite mixture of central
-chi-square distributions:
+For weights lambda_1 >= ... >= lambda_d > 0 and beta = min(lambda), the
+variable Q = sum_i lambda_i V_i (V_i iid chi-square with one degree of
+freedom) is an infinite mixture of central chi-square distributions
+(Ruben, 1962):
 
     P(Q <= t) = sum_k a_k P(chisq_{d + 2k} <= t / beta)
 
-with mixture coefficients from the classical recursion
+whose coefficients are those of the generating function
 
-    a_0 = prod_i sqrt(beta / lambda_i)
-    a_k = (2k)^{-1} sum_{j=0}^{k-1} g_{k-j} a_j,   g_k = sum_i (1 - beta/lambda_i)^k.
+    A(z) = sum_k a_k z^k = prod_i sqrt(beta / lambda_i) (1 - r_i z)^(-1/2)
+         = a_0 exp(sum_{k>=1} h_k z^k),   h_k = g_k / (2k),
 
-With beta <= min(lambda) every coefficient is nonnegative and they sum to
-one; WeightedChiSq takes beta = min(lambda), which converges fastest
-among those choices.  Truncating once the accumulated mass reaches
-1 - trunc_tol bounds the absolute cdf error by trunc_tol.  Coefficients
-depend only on the weights, so they are computed once per instance;
-evaluation uses the chi-square ladder identities
+with r_i = 1 - beta/lambda_i in [0, 1) and power sums g_k = sum_i r_i^k.
+Every coefficient is nonnegative and they sum to A(1) = 1.
+
+Building the coefficients.  All power sums g_1 .. g_{n-1} come from one
+matrix product (r_i^{Bm}) x (r_i^j), k = Bm + j.  One real FFT of the
+h_k evaluates the exponent at the n-th roots of unity, and one inverse
+FFT of exp(log a_0 + exponent) returns a_k plus the aliased sum
+a_{k+n} + a_{k+2n} + ...  Cutting the exponent's series at n changes no
+coefficient below n and only lowers those above it, so aliasing adds
+mass, and at most the tail sum_{k>=n} a_k.  n is the smallest power of
+two above the Cauchy bound
+
+    sum_{k>=n} a_k <= A(rho) rho^(-n) rho / (rho - 1),   1 < rho < 1/max(r),
+
+minimised over a grid of rho, at eps = ALIAS_FRACTION * trunc_tol.  The
+series is cut at the first K whose accumulated mass reaches
+1 - trunc_tol; truncation lowers the cdf by at most trunc_tol.  Rounding
+in the FFTs and the exponential (about 1e-13 in the coefficients' L1
+norm, measured against the classical recursion
+a_k = (2k)^-1 sum_{j<k} g_{k-j} a_j) sits beside trunc_tol: up to
+rounding, the computed cdf lies in
+[true cdf - trunc_tol, true cdf + ALIAS_FRACTION * trunc_tol].
+
+Evaluating the cdf.  With x = t / beta, the chi-square ladder identities
 
     f_{d+2k}(x) = f_d(x) * (x/2)^k * Gamma(d/2) / Gamma(d/2 + k)
     F_{d+2k}(x) = F_d(x) - 2 * sum_{j=1}^{k} f_{d+2j}(x)
 
-which reduce a cdf call to one regularized-gamma evaluation plus
-vectorized exp/cumsum work over the retained terms.
+reduce a call to one regularized-gamma evaluation plus exp/cumsum work
+over the retained terms.  The densities' normalizing constants
+log(2^{m/2} Gamma(m/2)), m = d + 2k, depend on m alone, so one table,
+extended on demand, serves every distribution.
 """
 
 from __future__ import annotations
@@ -37,6 +57,23 @@ _LN2 = float(np.log(2.0))
 
 # weights this small relative to the largest are dropped before the series
 WEIGHT_REL_TOL = 1e-12
+
+# bound on the coefficient mass the FFT may alias, as a fraction of trunc_tol
+ALIAS_FRACTION = 1e-3
+
+# grid of s = (1 - rho * max(r)) / (1 - max(r)) in (0, 1) for the tail bound
+_TAIL_BOUND_GRID = np.geomspace(1e-6, 0.99, 16)
+
+# relative offset of the second point of each cdf call in quantile, whose
+# difference quotient is the Newton slope
+_SLOPE_STEP = 1e-7
+
+# cdf calls one quantile search may make before giving up
+_QUANTILE_MAX_CALLS = 2000
+
+# log(2^{m/2} Gamma(m/2)) at index m, the cdf ladder's normalizing
+# constants; a pure function of m, so the table is shared and only grows
+_log_norm_table = np.zeros(0)
 
 # alpha0_diagnostic's scan and bisection settings
 ALPHA0_GRID_POINTS = 256
@@ -62,8 +99,67 @@ def _as_weights(spec) -> np.ndarray:
     return np.sort(np.asarray(lam, dtype=float).ravel())[::-1]
 
 
+def _power_of_two(n: float) -> int:
+    """Smallest power of two >= max(n, 16)."""
+    return 1 << max(4, int(np.ceil(np.log2(max(n, 1.0)))))
+
+
+def _series_length(w: np.ndarray, log_a0: float, eps: float) -> float:
+    """A length n with sum_{k>=n} a_k <= eps, from the Cauchy bound.
+
+    `w` holds beta / lambda_i < 1 for the weights above beta.  For rho
+    in (1, 1/max(r)), a_k <= A(rho) rho^-k, so the tail from n on is at
+    most A(rho) rho^-n rho / (rho - 1); each grid point gives the n that
+    brings this to eps, and the smallest wins.  Written in w and
+    rho - 1 so that nothing cancels when max(r) is close to 1.
+    """
+    w_min = float(w.min())
+    r = 1.0 - w
+    r_max = 1.0 - w_min
+    rho_m1 = w_min * (1.0 - _TAIL_BOUND_GRID) / r_max        # rho - 1
+    # 1 - r_i rho = w_i - r_i (rho - 1) > 0 on the whole grid
+    log_a = log_a0 - 0.5 * np.log(w[None, :] - r[None, :]
+                                  * rho_m1[:, None]).sum(axis=1)
+    log_rho = np.log1p(rho_m1)
+    need = (log_a + log_rho - np.log(rho_m1) - np.log(eps)) / log_rho
+    return float(np.min(need)) + 1.0
+
+
+def _log_normalizers(stop: int) -> np.ndarray:
+    """The table of log(2^{m/2} Gamma(m/2)), covering at least m < stop."""
+    global _log_norm_table
+    if _log_norm_table.size < stop:
+        half_m = 0.5 * np.arange(max(stop, 2 * _log_norm_table.size))
+        _log_norm_table = half_m * _LN2 + special.gammaln(half_m)
+    return _log_norm_table
+
+
+def _aliased_series(r: np.ndarray, log_a0: float, n: int) -> np.ndarray:
+    """a_k plus at most a_{k+n} + a_{k+2n} + ..., for k < n, up to rounding.
+
+    Power sums g_k = sum_i r_i^k for k = B m + j come from the product of
+    the (n/B) x d matrix r_i^{Bm} with the d x B matrix r_i^j.  The real
+    FFT of h_k = g_k / (2k) is the conjugate of the exponent at the n-th
+    roots of unity, and the inverse real FFT of exp(log a_0 + that) gives
+    the coefficients, aliased.
+    """
+    block = 1 << (n.bit_length() // 2)            # B, a power of two <= n
+    powers = np.power(r[:, None], np.arange(block)[None, :])
+    strides = np.power(r[None, :],
+                       (block * np.arange(n // block))[:, None])
+    g = (strides @ powers).ravel()
+    h = np.zeros(n)
+    h[1:] = g[1:] / (2.0 * np.arange(1, n))
+    return np.fft.irfft(np.exp(log_a0 + np.fft.rfft(h)), n)
+
+
 class WeightedChiSq:
     """Frozen weighted-chi-square distribution with certified cdf error.
+
+    The mixture coefficients are built once, from the generating function
+    evaluated by FFT at a power-of-two number of roots of unity chosen by
+    a Cauchy tail bound (see the module docstring); no term is computed
+    by a per-term loop.
 
     Parameters
     ----------
@@ -72,10 +168,14 @@ class WeightedChiSq:
         stripped.  Negative entries raise ValueError.
     trunc_tol : float
         Certified absolute cdf error bound (default 1e-12).  Truncation
-        only drops nonnegative terms, so up to rounding the computed cdf
-        lies in [true cdf - trunc_tol, true cdf].
+        only drops nonnegative terms, and FFT aliasing adds at most
+        ALIAS_FRACTION * trunc_tol, so up to rounding (about 1e-13) the
+        computed cdf lies in [true cdf - trunc_tol, true cdf +
+        ALIAS_FRACTION * trunc_tol].
     max_terms : int
-        Series length guard; exceeding it raises SeriesStallError.
+        Series length guard: SeriesStallError is raised exactly when the
+        accumulated mass cannot reach 1 - trunc_tol within max_terms
+        terms.
     """
 
     def __init__(self, lambdas, trunc_tol: float = 1e-12,
@@ -111,43 +211,40 @@ class WeightedChiSq:
 
     @property
     def mass(self) -> float:
-        """Accumulated coefficient mass (>= 1 - trunc_tol by construction)."""
-        return float(self._coeffs.sum())
+        """Accumulated coefficient mass (>= 1 - trunc_tol by construction).
+
+        Summed in order, as the truncation rule sums it."""
+        return float(np.cumsum(self._coeffs)[-1])
 
     def _build_coefficients(self, max_terms: int) -> np.ndarray:
         lam, beta = self._lam, self._beta
-        ratios = 1.0 - beta / lam          # in [0, 1)
+        w = beta / lam                     # 1 - r_i, in (0, 1]
+        log_a0 = 0.5 * float(np.sum(np.log(w)))
         target = 1.0 - self._trunc_tol
-        cap = 64
-        a = np.zeros(cap)
-        g = np.zeros(cap)                  # g[k] holds g_k, k >= 1
-        a[0] = float(np.exp(0.5 * np.sum(np.log(beta / lam))))
-        mass = a[0]
-        powers = np.ones_like(ratios)
-        k = 0
-        while mass < target:
-            k += 1
-            if k >= max_terms:
+        a0 = float(np.exp(log_a0))
+        if a0 >= target:
+            return np.array([a0])
+        w = w[w < 1.0]                     # r_i = 0 adds nothing to g_k
+        need = _series_length(w, log_a0, ALIAS_FRACTION * self._trunc_tol)
+        # A series that may stall is first tried at about twice max_terms:
+        # aliasing only adds mass, so if even the aliased mass falls short
+        # of the target within max_terms, the series stalls.
+        n = _power_of_two(min(need, 2.0 * max_terms))
+        while True:
+            a = _aliased_series(1.0 - w, log_a0, n)
+            np.maximum(a, 0.0, out=a)      # rounding guard; exact values >= 0
+            last = int(np.searchsorted(np.cumsum(a), target))
+            if last >= min(n, max_terms):
+                mass = float(a[:min(n, max_terms)].sum())
                 raise SeriesStallError(
                     f"residual coefficient mass {1.0 - mass:.3e} still above "
                     f"trunc_tol {self._trunc_tol:.1e} after {max_terms} terms "
                     f"(weight ratio {lam[0] / lam[-1]:.3e}); increase "
                     f"max_terms or condense the weights")
-            if k >= cap:
-                cap *= 2
-                a = np.resize(a, cap)
-                g = np.resize(g, cap)
-                a[k:] = 0.0
-                g[k:] = 0.0
-            powers *= ratios
-            g[k] = powers.sum()
-            # a_k = (2k)^-1 * sum_{j<k} g_{k-j} a_j
-            ak = float(np.dot(g[1:k + 1][::-1], a[:k])) / (2.0 * k)
-            if ak < 0.0:       # rounding guard; exact value is >= 0
-                ak = 0.0
-            a[k] = ak
-            mass += ak
-        coeffs = a[:k + 1].copy()
+            if n >= need:
+                break
+            n = _power_of_two(need)        # too short to bound the aliasing
+        coeffs = a[:last + 1].copy()
         # invariant: nonnegative, partial sums bounded by one
         assert coeffs.min() >= 0.0
         assert coeffs.sum() <= 1.0 + 1e-9
@@ -171,57 +268,68 @@ class WeightedChiSq:
         coeffs = self._coeffs
         f0 = special.gammainc(half_d, 0.5 * x)
         acc = coeffs[0] * f0
-        n_terms = coeffs.size
-        if n_terms > 1:
-            ks = np.arange(1, n_terms)
-            log_gamma = special.gammaln(half_d + ks)
-            # chunk so the (points x terms) workspace stays modest
-            block = max(1, int(4_000_000 // n_terms))
+        if coeffs.size > 1:
+            stop = d + 2 * coeffs.size                   # m = d + 2k, k >= 1
+            log_norm = _log_normalizers(stop)[d + 2:stop:2]
+            powers = half_d + np.arange(log_norm.size)      # d/2 + k - 1
+            # chunk so the (points x terms) workspace stays modest; rows
+            # are summed one by one, so a point's value does not depend
+            # on the other points of the call
+            block = max(1, int(4_000_000 // log_norm.size))
             for start in range(0, x.size, block):
                 sl = slice(start, start + block)
                 xb = x[sl]
-                log_f = ((half_d - 1.0 + ks)[None, :] * np.log(xb)[:, None]
-                         - 0.5 * xb[:, None]
-                         - (half_d + ks)[None, :] * _LN2
-                         - log_gamma[None, :])
-                f = np.exp(log_f)
-                ladder = f0[sl, None] - 2.0 * np.cumsum(f, axis=1)
+                log_f = (np.log(xb)[:, None] * powers[None, :]
+                         - 0.5 * xb[:, None] - log_norm[None, :])
+                ladder = f0[sl, None] - 2.0 * np.cumsum(np.exp(log_f), axis=1)
                 np.maximum(ladder, 0.0, out=ladder)
-                acc[sl] += ladder @ coeffs[1:]
+                acc[sl] += (ladder * coeffs[1:]).sum(axis=1)
         return np.clip(acc, 0.0, 1.0)
 
     def quantile(self, p: float, tol: float = 1e-10) -> float:
-        """Upper end of a bisection bracket of the p-quantile.
+        """Upper end of a safeguarded Newton bracket of the p-quantile.
 
-        Bisection keeps cdf(lo) < p <= cdf(hi) and returns hi once
-        cdf(hi) - p <= tol, or once lo and hi are adjacent floats.  The
-        result t therefore never lies below the quantile of the computed
-        cdf, and since the computed cdf sits at most trunc_tol below the
-        true one, the true cdf at t lies in [p, p + tol + trunc_tol].
+        The search starts at the Satterthwaite two-moment approximation
+        g * chisq_h.  Each step makes one cdf call at [t, t * (1 + 1e-7)]:
+        the first value updates the bracket cdf(lo) < p <= cdf(hi), and
+        the difference quotient is the slope of a Newton step aimed at
+        p + tol/2.  A step that leaves the bracket is replaced by
+        bisection; until some point reaches p, the step is at most a
+        doubling of t.  The search returns a point whose computed cdf
+        lies in [p, p + tol], or hi once lo and hi are adjacent floats.
+        The result therefore never lies below the quantile of the
+        computed cdf.  Since the computed cdf sits at
+        most trunc_tol below and ALIAS_FRACTION * trunc_tol above the
+        true one (up to rounding), the true cdf there lies in
+        [p - ALIAS_FRACTION * trunc_tol, p + tol + trunc_tol].
         """
         if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        scale = float(self._lam.sum())
-        # the chi2(1) p-quantile as scipy.stats computes it, without its import
-        hi = scale * max(2.0 * float(special.gammaincinv(0.5, p)), 1.0)
-        lo = 0.0
-        for _ in range(200):
-            c_hi = self.cdf(hi)
-            if c_hi >= p:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:  # pragma: no cover - cdf tends to 1, bracket must close
-            raise RuntimeError("failed to bracket quantile")
-        while c_hi - p > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            c = self.cdf(mid)
+        lam = self._lam
+        scale = float(np.sum(lam * lam) / np.sum(lam))
+        dof = float(np.sum(lam)) / scale
+        t = max(2.0 * scale * float(special.gammaincinv(0.5 * dof, p)),
+                np.finfo(float).tiny)
+        aim = p + 0.5 * tol
+        lo, hi = 0.0, np.inf
+        for _ in range(_QUANTILE_MAX_CALLS):
+            t_up = t * (1.0 + _SLOPE_STEP)
+            c, c_up = self.cdf(np.array([t, t_up]))
             if c < p:
-                lo = mid
+                lo = t
             else:
-                hi, c_hi = mid, c
-        return hi
+                hi = t
+                if c - p <= tol:
+                    return t
+            slope = (c_up - c) / (t_up - t)
+            step = t + (aim - c) / slope if slope > 0.0 else np.nan
+            if hi == np.inf:           # no point has reached p yet
+                t = min(step, 2.0 * t) if step > t else 2.0 * t
+            else:
+                t = step if lo < step < hi else 0.5 * (lo + hi)
+                if not lo < t < hi:
+                    return hi
+        raise RuntimeError("quantile search failed")  # pragma: no cover
 
 
 def partial_sum_gap(major, minor) -> float:

@@ -62,6 +62,15 @@ def test_flag_validation_rejects_bad_values(tmp_path, capsys):
     assert "--epsilon" in capsys.readouterr().err
     assert main(base + ["--max-iter", "0"]) == 1
     assert "--max-iter" in capsys.readouterr().err
+    # refused up front, not run with every set reported as an error row
+    _write_pathways(tmp_path / "p.tsv")
+    analyze = ["analyze", "--data", str(tmp_path / "d.csv"), "--response",
+               "y", "--pathways", str(tmp_path / "p.tsv")]
+    for bad in ("0", "1", "-0.5"):
+        for args in (base, analyze):
+            assert main(args + ["--trunc-tol", bad]) == 1
+            captured = capsys.readouterr()
+            assert "--trunc-tol" in captured.err and captured.out == ""
 
 
 def test_each_subcommand_accepts_only_the_flags_it_reads(tmp_path, capsys):

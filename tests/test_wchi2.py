@@ -2,7 +2,8 @@
 
 Reference cdf values were computed independently by numerically
 inverting the characteristic function (oscillatory quadrature at 40
-decimal digits); they are frozen here.
+decimal digits); they are frozen here.  Reference mixture coefficients
+come from the classical per-term recursion below.
 """
 
 import os
@@ -11,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import ctgt
@@ -31,6 +34,81 @@ CF_INVERSION_VALUES = [
 # upper tail mass there; closed-form equation solved by bisection
 TWO_VS_ONE_ONE_T0 = 3.072794227163327
 TWO_VS_ONE_ONE_ALPHA0 = 0.215154885276291
+
+
+def recursion_coefficients(lambdas, trunc_tol=1e-12, max_terms=100_000):
+    """Mixture coefficients by the classical recursion, one term at a time.
+
+        a_0 = prod_i sqrt(beta / lambda_i)
+        a_k = (2k)^{-1} sum_{j=0}^{k-1} g_{k-j} a_j,  g_k = sum_i r_i^k
+
+    with beta = min(lambda) and r_i = 1 - beta / lambda_i, stopping at the
+    first k whose accumulated mass reaches 1 - trunc_tol; raises
+    SeriesStallError once k reaches max_terms.  Every step adds only
+    nonnegative terms, so it is accurate to a few ulps per coefficient,
+    at O(K^2) cost.
+    """
+    lam = np.sort(np.asarray(lambdas, dtype=float))[::-1]
+    lam = lam[lam > 1e-12 * lam[0]]
+    beta = lam[-1]
+    ratios = 1.0 - beta / lam
+    target = 1.0 - trunc_tol
+    a = np.zeros(max_terms)
+    g = np.zeros(max_terms)            # g[k] holds g_k, k >= 1
+    a[0] = float(np.exp(0.5 * np.sum(np.log(beta / lam))))
+    mass = a[0]
+    powers = np.ones_like(ratios)
+    k = 0
+    while mass < target:
+        k += 1
+        if k >= max_terms:
+            raise SeriesStallError(f"no convergence in {max_terms} terms")
+        powers *= ratios
+        g[k] = powers.sum()
+        ak = float(np.dot(g[1:k + 1][::-1], a[:k])) / (2.0 * k)
+        a[k] = max(ak, 0.0)
+        mass += a[k]
+    return a[:k + 1].copy()
+
+
+def _l1_distance(u, v):
+    n = max(u.size, v.size)
+    return float(np.abs(np.pad(u, (0, n - u.size))
+                        - np.pad(v, (0, n - v.size))).sum())
+
+
+@st.composite
+def spectra(draw):
+    """1 to 60 weights spread over a ratio of at most 2e3 (max 2e3, min 1)."""
+    d = draw(st.integers(1, 60))
+    log_ratio = draw(st.floats(0.0, float(np.log(2e3))))
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=max(d - 2, 0),
+                          max_size=max(d - 2, 0)))
+    u = np.array([1.0] + inner + [0.0])[:d]
+    return np.exp(log_ratio * u)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spectra())
+def test_coefficients_match_the_recursion(lam):
+    tol = 1e-10
+    d = WeightedChiSq(lam)
+    coeffs = d._coeffs
+    assert coeffs.min() >= 0.0
+    assert 1.0 - d.trunc_tol <= d.mass <= 1.0 + 1e-9
+    assert _l1_distance(coeffs, recursion_coefficients(lam)) <= 1e-11
+    for p in (0.5, 0.95, 0.99):
+        c = d.cdf(d.quantile(p, tol=tol))
+        assert p <= c <= p + tol, (p, c)
+
+
+@pytest.mark.parametrize("lam", [(40.0, 1.0), (300.0, 7.0, 1.0),
+                                 (1500.0, 1500.0, 20.0, 1.0)])
+def test_stall_boundary_follows_the_series_length(lam):
+    n = recursion_coefficients(lam).size
+    assert WeightedChiSq(lam, max_terms=n + n // 10 + 2).n_terms <= n + n // 10
+    with pytest.raises(SeriesStallError):
+        WeightedChiSq(lam, max_terms=n // 2)
 
 
 def test_cdf_matches_cf_inversion_oracle():
@@ -94,6 +172,20 @@ def test_quantile_is_the_upper_end_of_its_bracket(p):
         d = WeightedChiSq(lam)
         c = d.cdf(d.quantile(p, tol=tol))
         assert p <= c <= p + tol, lam
+
+
+def test_a_point_cdf_does_not_depend_on_the_other_points():
+    # quantile's bracket contract is stated for scalar cdf calls, but its
+    # search evaluates points in pairs
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        lam = rng.uniform(0.05, 5.0, size=int(rng.integers(2, 12)))
+        d = WeightedChiSq(lam)
+        ts = d.quantile(0.5) * rng.uniform(0.2, 3.0, size=5)
+        together = d.cdf(ts)
+        for i, t in enumerate(ts):
+            assert d.cdf(t) == d.cdf(np.array([t, 1.1 * t]))[0]
+            assert d.cdf(t) == together[i]
 
 
 def test_quantile_scale_equivariance():
