@@ -249,6 +249,18 @@ def _check_index_set(R, n_features: int,
     return idx
 
 
+def weighted_gram(dataset: Dataset, null: NullModel, idx) -> np.ndarray:
+    """r x r Gram matrix of the residualized, sigma-weighted columns idx.
+
+    Rows and columns follow the order of idx, so the leading j x j block
+    is the Gram matrix of the first j columns.  Its eigenvalues are the
+    set's spectrum (plus zeros), and its squared Frobenius norm is the
+    spectrum's sum of squares.
+    """
+    M = null.residualize(dataset.X[:, list(idx)])
+    return M.T @ (null.sigma_diag[:, None] * M)
+
+
 def spectrum(dataset: Dataset, null: NullModel, R) -> Spectrum:
     """Eigenvalue spectrum of the quadratic form for feature set R.
 
@@ -259,11 +271,11 @@ def spectrum(dataset: Dataset, null: NullModel, R) -> Spectrum:
     NumericalBreakdownError.  Only strictly positive eigenvalues are kept.
     """
     idx = _check_index_set(R, dataset.n_features)
-    M = null.residualize(dataset.X[:, list(idx)])
-    n, r = M.shape
-    if r <= n:
-        G = M.T @ (null.sigma_diag[:, None] * M)
+    n = dataset.n_samples
+    if len(idx) <= n:
+        G = weighted_gram(dataset, null, idx)
     else:
+        M = null.residualize(dataset.X[:, list(idx)])
         B = np.sqrt(null.sigma_diag)[:, None] * M
         G = B @ B.T
     vals = np.linalg.eigvalsh(G)
@@ -311,9 +323,10 @@ class SpectrumProvider:
 
     def dist(self, R) -> wchi2.WeightedChiSq:
         key = frozenset(int(i) for i in R)
-        spec = self.spectrum(key)
-        hit = self._cache.get(key, (spec, None))[1]
+        spec, hit = self._cache.get(key, (None, None))
         if hit is None:
+            if spec is None:
+                spec = spectrum(self.dataset, self.null, key)
             hit = wchi2.WeightedChiSq(spec, trunc_tol=self.trunc_tol)
             self._store(key, (spec, hit))
         return hit

@@ -10,12 +10,17 @@ curves indexed by the level (weight sum) of a superset:
 * an upper envelope of superset critical values, obtained from a vector
   majorizing every superset spectrum at that level.
 
-If the lower envelope stays above the upper one across the level range
-(located by a monotone fixed-point iteration), every superset test must
-reject and R is rejected.  If the curves cross, only the "staircase"
-sets realizing the lower envelope are tested exactly: a failure among
-them is a concrete non-rejection witness; if all pass, the comparison is
-inconclusive (Unsure) and callers may branch (see bnb).
+The "staircase" sets realizing the lower envelope carry the smallest
+superset statistics at their levels.  Before comparing the curves,
+single_step tests exactly the one staircase set a two-moment
+(Satterthwaite) approximation ranks likeliest to fail; if it fails it
+is a concrete non-rejection witness and no critical envelope is built.
+Otherwise, if the lower envelope stays above the upper one across the
+level range (located by a monotone fixed-point iteration), every
+superset test must reject and R is rejected.  If the curves cross, the
+remaining staircase sets are tested exactly: a failure among them is a
+witness; if all pass, the comparison is inconclusive (Unsure) and
+callers may branch (see bnb).
 
 The upper envelope is conservative only for significance levels below
 the pairwise validity threshold (see wchi2.alpha0_diagnostic); decisions
@@ -27,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .linmodel import (FeatureStats, Spectrum, SpectrumProvider,
-                       _check_index_set)
+                       _check_index_set, weighted_gram)
 from .wchi2 import WeightedChiSq, condense_weights
 
 REJECT = "reject"
@@ -186,6 +192,43 @@ def inverse_gmin(curve: PiecewiseCurve, target: float) -> float:
         return curve.top_level
     # stats[k] <= target < stats[k+1], so this segment has positive slope
     return float(curve.levels[k] + (target - curve.stats[k]) / curve.slopes[k])
+
+
+def staircase_square_sums(curve: PiecewiseCurve,
+                          provider: SpectrumProvider) -> np.ndarray:
+    """Sum of squared eigenvalues of every staircase set, k = 0..v.
+
+    No eigendecomposition: a set's sum of squares is the squared
+    Frobenius norm of its Gram matrix (see linmodel.weighted_gram), and
+    staircase set k's Gram matrix is the leading (|R| + k) block of the
+    Gram matrix of R followed by `curve.order`, so one Gram matrix
+    serves every k.
+    """
+    G = weighted_gram(provider.dataset, provider.null,
+                      curve.base + curve.order)
+    sq = G * G
+    # row t adds its entries left of the diagonal twice (G is symmetric)
+    block_sums = np.cumsum(2.0 * np.tril(sq, -1).sum(axis=1) + np.diag(sq))
+    return block_sums[len(curve.base) - 1:]
+
+
+def likeliest_failing_step(curve: PiecewiseCurve, provider: SpectrumProvider
+                           ) -> tuple[int, float]:
+    """The interior staircase set most likely to fail its own test.
+
+    Ranks k = 1..v-1 by the two-moment (Satterthwaite) p-value
+    P(g * chisq_h > stat_k), with g = sum(lam^2) / sum(lam) and
+    h = sum(lam)^2 / sum(lam^2); sum(lam) is the level by the trace
+    identity.  Returns (k, approximate p-value), ties to the smallest k.
+    Requires at least two complement features.
+    """
+    sq = staircase_square_sums(curve, provider)[1:-1]
+    lev = curve.levels[1:-1]
+    scale = sq / lev
+    pvals = special.gammaincc(0.5 * lev / scale,
+                              0.5 * curve.stats[1:-1] / scale)
+    k = int(np.argmax(pvals))
+    return k + 1, float(pvals[k])
 
 
 def _pad_descending(spec: Spectrum, n: int) -> np.ndarray:
@@ -352,10 +395,14 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
 
     Decision order: exact tests of R and F (either failing is a witness);
     immediate rejection when R's statistic clears F's critical value; the
-    crossing test; on a crossing, exact tests of the staircase sets
-    between R and F (first failure is a witness, all passing leaves
-    UNSURE).  Its endpoints, staircase 0 and the last, are R and F,
-    which have already passed.
+    probe, an exact test of the interior staircase set whose approximate
+    p-value (likeliest_failing_step) is largest, run only when that
+    p-value exceeds alpha (a failure is a witness, and no critical
+    envelope is built); the crossing test; on a crossing, exact tests of
+    the other staircase sets between R and F (first failure is a
+    witness, all passing leaves UNSURE).  The staircase endpoints,
+    staircase 0 and the last, are R and F, which have already passed.
+    A probe witness is a failing superset, not necessarily the smallest.
 
     The crossing test's critical envelope is F's own exact critical
     value at F's level (`cmax` there condenses F's spectrum and is
@@ -383,6 +430,16 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
         return SingleStepResult(REJECT, None, 0, exact.n_tests)
 
     curve = gmin_curve(stats, base, top)
+    probed = 0                # staircase index already tested, 0 if none
+    if len(curve.order) > 1:
+        k, pval = likeliest_failing_step(curve, provider)
+        if pval > alpha:
+            probed = k
+            step_set = curve.staircase(k)
+            if not exact.reject(step_set):
+                return SingleStepResult(NOT_REJECT, step_set, 0,
+                                        exact.n_tests)
+
     lam_base = provider.spectrum(base)
     lam_top = provider.spectrum(top)
     c_top = dist_top.quantile(1.0 - alpha)
@@ -398,6 +455,8 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
                                 exact.n_tests)
 
     for k in range(1, len(curve.order)):
+        if k == probed:
+            continue
         step_set = curve.staircase(k)
         if not exact.reject(step_set):
             return SingleStepResult(NOT_REJECT, step_set,

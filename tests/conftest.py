@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import ctgt
+
+# every property test draws the same examples on every run and is never
+# timed out; a failure is replayed from its seed, not from a database
+settings.register_profile("ctgt", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("ctgt")
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctgt
 from ctgt import (Subspace, analyze_collection, full_closed_test,
@@ -51,6 +53,28 @@ def test_unlimited_budget_matches_brute_force():
             assert got.decision == want.decision, (seed, R)
             checked += 1
     assert checked >= 30
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 10_000), m=st.integers(3, 8),
+       effect=st.sampled_from([0.0, 1.0, 2.0, 3.0]), data=st.data())
+def test_shortcut_agrees_with_closed_testing_on_random_instances(
+        seed, m, effect, data):
+    _, _, stats, provider = make_instance(seed=seed, n=40, m=m,
+                                          effect=effect, n_signal=2)
+    F = active_universe(stats)
+    R = tuple(sorted(data.draw(
+        st.lists(st.sampled_from(F), min_size=1, max_size=len(F),
+                 unique=True), label="R")))
+    full = iterative_shortcut(stats, provider, R, F, 0.05)
+    assert full.decision == full_closed_test(stats, provider, R, F,
+                                             0.05).decision
+    if full.decision == "not_reject":
+        assert set(R) <= set(full.witness) <= set(F)
+        assert not ctgt.ExactTester(stats, provider, 0.05).reject(
+            full.witness)
+    one = iterative_shortcut(stats, provider, R, F, 0.05, max_iterations=1)
+    assert one.decision == single_step(stats, provider, R, F, 0.05).decision
 
 
 def test_not_reject_witness_fails_its_own_test():

@@ -195,7 +195,8 @@ def test_cmax_bounds_exact_critical_values():
 
 def test_single_step_starts_the_crossing_at_the_universe_critical_value(
         monkeypatch):
-    data, null, stats, provider = make_instance(seed=139, n=30, m=8,
+    # (seed 147, F[1:2]) passes the probe and ends REJECT via ABOVE
+    data, null, stats, provider = make_instance(seed=147, n=30, m=8,
                                                 effect=2.0, n_signal=2)
     F = active_universe(stats)
     real = ctgt.shortcut.crossing_test
@@ -206,13 +207,66 @@ def test_single_step_starts_the_crossing_at_the_universe_critical_value(
         return real(curve, cmax_fn, epsilon)
 
     monkeypatch.setattr(ctgt.shortcut, "crossing_test", spy)
-    single_step(stats, provider, F[:1], F, 0.05)
+    single_step(stats, provider, F[1:2], F, 0.05)
     assert len(seen) == 1                     # the pair reaches the crossing
     curve, cmax_fn = seen[0]
     assert cmax_fn(curve.top_level) == provider.dist(F).quantile(0.95)
     below = curve.levels[-2]
-    assert cmax_fn(below) == cmax(provider.spectrum(F[:1]),
+    assert cmax_fn(below) == cmax(provider.spectrum(F[1:2]),
                                   provider.spectrum(F), below, 0.05)
+
+
+def test_failing_probe_settles_the_step_without_the_crossing(monkeypatch):
+    # (seed 139, F[:1]) ends at the probe
+    data, null, stats, provider = make_instance(seed=139, n=30, m=8,
+                                                effect=2.0, n_signal=2)
+    F = active_universe(stats)
+    called = []
+    monkeypatch.setattr(ctgt.shortcut, "crossing_test",
+                        lambda *a, **k: called.append("crossing_test"))
+    monkeypatch.setattr(ctgt.shortcut, "cmax",
+                        lambda *a, **k: called.append("cmax"))
+    res = single_step(stats, provider, F[:1], F, 0.05)
+    assert called == []
+    assert res.decision == "not_reject"
+    assert res.n_cmax_evals == 0
+    curve = gmin_curve(stats, F[:1], F)
+    interior = [curve.staircase(k) for k in range(1, len(curve.order))]
+    assert res.witness in interior
+    tester = ctgt.ExactTester(stats, provider, 0.05)
+    assert not tester.reject(res.witness)
+
+
+@pytest.mark.parametrize("n, m", [(30, 8), (10, 14)])
+def test_probe_square_sums_match_the_spectra(n, m):
+    data, null, stats, provider = make_instance(seed=141, n=n, m=m,
+                                                effect=1.0, n_signal=2)
+    F = active_universe(stats)
+    curve = gmin_curve(stats, F[:2], F)
+    sums = ctgt.shortcut.staircase_square_sums(curve, provider)
+    assert sums.shape == (len(curve.order) + 1,)
+    for k, got in enumerate(sums):
+        lam = provider.spectrum(curve.staircase(k)).lambdas
+        assert got == pytest.approx(np.sum(lam ** 2), rel=1e-9)
+    # with m > n the larger staircase sets take the n x n spectrum branch
+    sizes = [len(curve.staircase(k)) for k in range(sums.size)]
+    assert (max(sizes) > n) == (m > n)
+
+
+def test_probe_runs_no_exact_test_when_every_approximation_passes():
+    # (seed 147, F[1:2]) ranks every interior staircase set at or below
+    # alpha and ends REJECT via ABOVE: only R and F are tested exactly
+    data, null, stats, provider = make_instance(seed=147, n=30, m=8,
+                                                effect=2.0, n_signal=2)
+    F = active_universe(stats)
+    R = F[1:2]
+    curve = gmin_curve(stats, R, F)
+    _, pval = ctgt.shortcut.likeliest_failing_step(curve, provider)
+    assert pval <= 0.05
+    res = single_step(stats, provider, R, F, 0.05)
+    assert res.decision == "reject"
+    assert res.n_cmax_evals > 0
+    assert res.n_exact_tests == 2
 
 
 def test_crossing_strong_signal_is_above_in_one_evaluation():
