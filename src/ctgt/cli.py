@@ -340,6 +340,7 @@ def cmd_oracle(args, out=None) -> int:
              or short.decision == UNSURE)   # unsure never contradicts
     print(f"oracle_decision = {oracle.decision}", file=out)
     print(f"oracle_tests = {oracle.n_tests}", file=out)
+    print(f"oracle_tests_by_bound = {oracle.n_by_bound}", file=out)
     print(f"oracle_seconds = {t_oracle:.3f}", file=out)
     print(f"shortcut_decision = {short.decision}", file=out)
     print(f"shortcut_iterations = {short.iterations_used}", file=out)

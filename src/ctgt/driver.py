@@ -54,6 +54,7 @@ class OracleResult:
     decision: str                         # REJECT or NOT_REJECT
     n_tests: int
     first_failure: tuple[int, ...] | None
+    n_by_bound: int                       # tests the tail bound decided
 
 
 def full_closed_test(stats: FeatureStats, provider: SpectrumProvider, R, F,
@@ -80,9 +81,10 @@ def full_closed_test(stats: FeatureStats, provider: SpectrumProvider, R, F,
         members = tuple(sorted(base + extra))
         if not exact.reject(members):
             return OracleResult(decision=NOT_REJECT, n_tests=exact.n_tests,
-                                first_failure=members)
+                                first_failure=members,
+                                n_by_bound=exact.n_by_bound)
     return OracleResult(decision=REJECT, n_tests=exact.n_tests,
-                        first_failure=None)
+                        first_failure=None, n_by_bound=exact.n_by_bound)
 
 
 @dataclass(frozen=True)

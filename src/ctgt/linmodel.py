@@ -11,6 +11,7 @@ SpectrumProvider cache is immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -249,34 +250,40 @@ def _check_index_set(R, n_features: int,
     return idx
 
 
-def weighted_gram(dataset: Dataset, null: NullModel, idx) -> np.ndarray:
-    """r x r Gram matrix of the residualized, sigma-weighted columns idx.
+def weighted_gram(columns: np.ndarray, null: NullModel, idx) -> np.ndarray:
+    """r x r sigma-weighted Gram matrix of the residualized columns idx.
 
-    Rows and columns follow the order of idx, so the leading j x j block
-    is the Gram matrix of the first j columns.  Its eigenvalues are the
-    set's spectrum (plus zeros), and its squared Frobenius norm is the
-    spectrum's sum of squares.
+    `columns` holds the residualized feature columns,
+    null.residualize(dataset.X).  Rows and columns follow the order of
+    idx, so the leading j x j block is the Gram matrix of the first j
+    columns.  Its eigenvalues are the set's spectrum (plus zeros), its
+    trace the set's level, and its squared Frobenius norm the spectrum's
+    sum of squares.
     """
-    M = null.residualize(dataset.X[:, list(idx)])
+    M = columns[:, list(idx)]
     return M.T @ (null.sigma_diag[:, None] * M)
 
 
-def spectrum(dataset: Dataset, null: NullModel, R) -> Spectrum:
+def spectrum(dataset: Dataset, null: NullModel, R,
+             columns: np.ndarray | None = None) -> Spectrum:
     """Eigenvalue spectrum of the quadratic form for feature set R.
 
-    Computed from the Gram matrix of the residualized, sigma-weighted
-    member columns (r x r when r <= n, the n x n form otherwise); the two
-    share their nonzero eigenvalues.  Eigenvalues within -1e-10*max of
-    zero are clamped to zero; anything below that raises
-    NumericalBreakdownError.  Only strictly positive eigenvalues are kept.
+    Computed from the residualized member columns, read from `columns`
+    (null.residualize(dataset.X), computed here when not given): their
+    r x r sigma-weighted Gram matrix when r <= n, the n x n form
+    otherwise; the two share their nonzero eigenvalues.  Eigenvalues
+    within -1e-10*max of zero are clamped to zero; anything below that
+    raises NumericalBreakdownError.  Only strictly positive eigenvalues
+    are kept.
     """
     idx = _check_index_set(R, dataset.n_features)
     n = dataset.n_samples
+    if columns is None:
+        columns = null.residualize(dataset.X)
     if len(idx) <= n:
-        G = weighted_gram(dataset, null, idx)
+        G = weighted_gram(columns, null, idx)
     else:
-        M = null.residualize(dataset.X[:, list(idx)])
-        B = np.sqrt(null.sigma_diag)[:, None] * M
+        B = np.sqrt(null.sigma_diag)[:, None] * columns[:, list(idx)]
         G = B @ B.T
     vals = np.linalg.eigvalsh(G)
     lam_max = float(vals.max(initial=0.0))
@@ -292,6 +299,8 @@ def spectrum(dataset: Dataset, null: NullModel, R) -> Spectrum:
 class SpectrumProvider:
     """Caches per-set spectra and their null distributions.
 
+    The residualized feature columns are computed on first use and kept;
+    every spectrum and Gram matrix the provider serves comes from them.
     One dict, keyed by frozenset of feature indices, holds each set's
     spectrum and, once requested, its distribution.  It keeps at most
     PROVIDER_CACHE_CAP entries; a new set beyond that drops the oldest.
@@ -313,11 +322,19 @@ class SpectrumProvider:
             del self._cache[next(iter(self._cache))]
         self._cache[key] = entry
 
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """The residualized feature columns, n x m, computed on first use."""
+        cols = self.null.residualize(self.dataset.X)
+        cols.flags.writeable = False
+        return cols
+
     def spectrum(self, R) -> Spectrum:
         key = frozenset(int(i) for i in R)
         hit = self._cache.get(key)
         if hit is None:
-            hit = (spectrum(self.dataset, self.null, key), None)
+            hit = (spectrum(self.dataset, self.null, key, self.columns),
+                   None)
             self._store(key, hit)
         return hit[0]
 
@@ -326,7 +343,7 @@ class SpectrumProvider:
         spec, hit = self._cache.get(key, (None, None))
         if hit is None:
             if spec is None:
-                spec = spectrum(self.dataset, self.null, key)
+                spec = spectrum(self.dataset, self.null, key, self.columns)
             hit = wchi2.WeightedChiSq(spec, trunc_tol=self.trunc_tol)
             self._store(key, (spec, hit))
         return hit

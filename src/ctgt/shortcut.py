@@ -36,7 +36,7 @@ from scipy import special
 
 from .linmodel import (FeatureStats, Spectrum, SpectrumProvider,
                        _check_index_set, weighted_gram)
-from .wchi2 import WeightedChiSq, condense_weights
+from .wchi2 import WeightedChiSq, chernoff_tail_bound, condense_weights
 
 REJECT = "reject"
 NOT_REJECT = "not_reject"
@@ -46,6 +46,11 @@ ABOVE = "above"
 CROSS = "cross"
 
 DEFAULT_EPSILON = 1e-4
+# relative rounding allowance on a computed tail bound
+BOUND_REL_SLACK = 1e-9
+# floor of the absolute cdf error allowed for beside trunc_tol: the
+# series' rounding, about 1e-13
+CDF_ROUNDING = 1e-12
 # majorizing-vector entries below this fraction of the largest get merged;
 # caps the weight ratio the mixture series must absorb
 CONDENSE_REL_TOL = 5e-3
@@ -204,7 +209,7 @@ def staircase_square_sums(curve: PiecewiseCurve,
     Gram matrix of R followed by `curve.order`, so one Gram matrix
     serves every k.
     """
-    G = weighted_gram(provider.dataset, provider.null,
+    G = weighted_gram(provider.columns, provider.null,
                       curve.base + curve.order)
     sq = G * G
     # row t adds its entries left of the diagonal twice (G is symmetric)
@@ -357,7 +362,21 @@ class ExactTester:
     `cdf(statistic) >= 1 - alpha`, the same comparison through the same
     cdf without a quantile search.  The statistic sums the members' g in
     the order given (callers pass ascending indices).  `n_tests` counts
-    calls to `reject`.
+    calls to `reject`; `n_by_bound` counts those the tail bound decided.
+
+    Before building the set's distribution, `reject` tries a rigorous
+    Chernoff bound on the tail at the statistic (wchi2.chernoff_tail_bound),
+    whose inputs need no eigendecomposition: the level L is the weight
+    sum, S2 = sum(lambda^2) the squared Frobenius norm of the set's Gram
+    matrix, and M = min(sqrt(S2), largest absolute row sum) bounds the
+    largest eigenvalue.  The computed cdf lies at most trunc_tol plus
+    rounding below the true one, so when bound + 2 * trunc_tol <= alpha
+    (the bound inflated by BOUND_REL_SLACK, trunc_tol floored at
+    CDF_ROUNDING) the series would pass the set too, and `reject`
+    returns True without it.  Otherwise the series decides, as before.
+    The Gram matrix is built only when the equal-weights bound, the
+    smallest the bound can be for |S| weights summing to L, passes; for
+    t <= L the bound is 1 and never passes.
     """
 
     def __init__(self, stats: FeatureStats, provider: SpectrumProvider,
@@ -365,15 +384,38 @@ class ExactTester:
         self._stats = stats
         self._provider = provider
         self._alpha = alpha
+        # twice the computed cdf's largest error below the true one
+        self._cdf_slack = 2.0 * max(provider.trunc_tol, CDF_ROUNDING)
         self.n_tests = 0
+        self.n_by_bound = 0
 
     def statistic(self, S) -> float:
         return float(self._stats.g[list(S)].sum())
 
+    def _bound_passes(self, level: float, sq_sum: float, lam_bound: float,
+                      t: float) -> bool:
+        bound = chernoff_tail_bound(level, sq_sum, lam_bound, t)
+        return (bound * (1.0 + BOUND_REL_SLACK) + self._cdf_slack
+                <= self._alpha)
+
+    def _decided_by_bound(self, S, t: float) -> bool:
+        level = float(self._stats.w[list(S)].sum())
+        r = len(S)
+        if not self._bound_passes(level, level * level / r, level / r, t):
+            return False
+        G = weighted_gram(self._provider.columns, self._provider.null, S)
+        sq_sum = float(np.sum(G * G))
+        lam_bound = min(np.sqrt(sq_sum), float(np.abs(G).sum(axis=1).max()))
+        return self._bound_passes(level, sq_sum, lam_bound, t)
+
     def reject(self, S) -> bool:
         self.n_tests += 1
+        t = self.statistic(S)
+        if self._decided_by_bound(S, t):
+            self.n_by_bound += 1
+            return True
         dist = self._provider.dist(S)
-        return bool(dist.cdf(self.statistic(S)) >= 1.0 - self._alpha)
+        return bool(dist.cdf(t) >= 1.0 - self._alpha)
 
 
 @dataclass(frozen=True)
@@ -399,10 +441,19 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
     p-value (likeliest_failing_step) is largest, run only when that
     p-value exceeds alpha (a failure is a witness, and no critical
     envelope is built); the crossing test; on a crossing, exact tests of
-    the other staircase sets between R and F (first failure is a
-    witness, all passing leaves UNSURE).  The staircase endpoints,
-    staircase 0 and the last, are R and F, which have already passed.
-    A probe witness is a failing superset, not necessarily the smallest.
+    the other staircase sets between R and F at or below the level where
+    the crossing iteration stopped (first failure is a witness, all
+    passing leaves UNSURE).  The staircase endpoints, staircase 0 and the
+    last, are R and F, which have already passed.  A probe witness is a
+    failing superset, not necessarily the smallest.
+
+    Staircase sets above the stop level are not tested.  Between two
+    consecutive visited levels the statistic envelope stays at or above
+    the running critical value, which bounds the critical value of every
+    superset at those levels; that is the argument that makes ABOVE a
+    rejection, so within the alpha0 caveat below those sets pass.  Where
+    the envelope fails, a step that would have found such a set as its
+    witness ends UNSURE instead.
 
     The crossing test's critical envelope is F's own exact critical
     value at F's level (`cmax` there condenses F's spectrum and is
@@ -455,6 +506,8 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
                                 exact.n_tests)
 
     for k in range(1, len(curve.order)):
+        if curve.levels[k] > outcome.level:
+            break
         if k == probed:
             continue
         step_set = curve.staircase(k)

@@ -332,6 +332,35 @@ class WeightedChiSq:
         raise RuntimeError("quantile search failed")  # pragma: no cover
 
 
+def chernoff_tail_bound(level: float, sq_sum: float, lam_bound: float,
+                        t: float) -> float:
+    """Upper bound on P(Q >= t) from three numbers, no spectrum needed.
+
+    Q = sum_i lambda_i V_i as above, with level L = sum(lambda),
+    sq_sum S2 = sum(lambda^2) and any lam_bound M >= max(lambda).  Since
+    lambda^k <= M^(k-2) lambda^2 for k >= 2, the cumulant series of Q
+    gives, for 0 <= s < 1/(2M),
+
+        log E exp(sQ) = sum_i -1/2 log(1 - 2 s lambda_i)
+                      <= s L + (S2 / M^2) (-1/2 log(1 - 2 s M) - s M).
+
+    The Chernoff bound P(Q >= t) <= exp(-s t) E exp(sQ), minimised at
+    2 s M = z / (1 + z), is (Laurent & Massart 2000, Lemma 1, relaxed)
+
+        P(Q >= t) <= exp(-(nu/2) (z - log(1 + z))),
+        nu = S2 / M^2,   z = (t - L) M / S2,
+
+    for t > L; for t <= L the bound is 1.  The exponent decreases in both
+    S2 and M, so among r weights summing to L the bound is smallest for
+    equal weights (S2 = L^2 / r, M = L / r).
+    """
+    if t <= level:
+        return 1.0
+    nu = sq_sum / (lam_bound * lam_bound)
+    z = (t - level) * lam_bound / sq_sum
+    return float(np.exp(-0.5 * nu * (z - np.log1p(z))))
+
+
 def partial_sum_gap(major, minor) -> float:
     """Most negative gap of (partial sums of major) - (partial sums of minor).
 

@@ -156,25 +156,34 @@ def test_criterion_4_distribution_closed_forms_and_monte_carlo():
     draw = np.random.default_rng(20260822)
     n_draws = 10**7
     chunk = 10**6
-    worst_se = 0.0
+    max_d = 7
+    probs = (0.2, 0.5, 0.95)
     worst_round = 0.0
+    audited = []
     for _ in range(20):
-        d = int(rng.integers(2, 8))
+        d = int(rng.integers(2, max_d + 1))
         w = rng.uniform(0.05, 5.0, size=d)
         dist = WeightedChiSq(w)
-        probs = (0.2, 0.5, 0.95)
         ts = [dist.quantile(p, tol=1e-12) for p in probs]
         for p, t in zip(probs, ts):
             worst_round = max(worst_round, abs(dist.cdf(t) - p))
-        counts = np.zeros(len(ts))
-        for _ in range(n_draws // chunk):
-            z = draw.standard_normal((chunk, d))
-            s = (z * z) @ w
+        audited.append((w, ts))
+    # common random numbers: each chunk's squared normals serve every
+    # distribution, which reads its leading d columns; every distribution
+    # still sees 10^7 independent draws of its own
+    counts = np.zeros((len(audited), len(probs)))
+    for _ in range(n_draws // chunk):
+        z = draw.standard_normal((chunk, max_d))
+        z *= z
+        for i, (w, ts) in enumerate(audited):
+            s = z[:, :w.size] @ w
             for j, t in enumerate(ts):
-                counts[j] += int((s <= t).sum())
-        for j, p in enumerate(probs):
-            se = float(np.sqrt(p * (1.0 - p) / n_draws))
-            worst_se = max(worst_se, abs(counts[j] / n_draws - p) / se)
+                counts[i, j] += np.count_nonzero(s <= t)
+    worst_se = 0.0
+    for j, p in enumerate(probs):
+        se = float(np.sqrt(p * (1.0 - p) / n_draws))
+        worst_se = max(worst_se,
+                       float(np.max(np.abs(counts[:, j] / n_draws - p))) / se)
 
     ok = worst_closed <= 1e-10 and worst_se <= 3.0 and worst_round <= 1e-10
     _report(4, "mixture cdf matches closed forms and simulation", ok,

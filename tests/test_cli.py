@@ -199,6 +199,7 @@ def test_oracle_agrees_on_a_small_instance(tmp_path, capsys):
     assert code == 0
     assert "agreement = yes" in out
     assert "oracle_tests = " in out
+    assert "oracle_tests_by_bound = " in out
 
 
 def test_simulate_is_reproducible_under_a_seed(capsys):

@@ -1,11 +1,15 @@
 """Single-set test, brute-force closed testing, and the level-bound survey."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from ctgt import (EnumerationCapError, alpha0_survey, full_closed_test,
-                  globaltest)
+from ctgt import (EnumerationCapError, WeightedChiSq, alpha0_survey,
+                  full_closed_test, globaltest)
 
 from conftest import active_universe, make_instance
 
@@ -109,6 +113,23 @@ def test_first_failure_is_first_in_counting_order():
         if found >= 5:
             return
     assert found > 0
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 10_000))
+def test_strong_query_is_decided_without_building_a_distribution(seed):
+    data, null, stats, provider = make_instance(seed=seed, n=200, m=8,
+                                                effect=3.0, n_signal=2)
+    F = active_universe(stats)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a WeightedChiSq was built")
+
+    with mock.patch.object(WeightedChiSq, "__init__", refuse):
+        oracle = full_closed_test(stats, provider, (0, 1), F, 0.05)
+    assert oracle.decision == "reject"
+    assert oracle.n_tests == 2 ** (len(F) - 2)
+    assert oracle.n_by_bound == oracle.n_tests
 
 
 def test_enumeration_cap_enforced():

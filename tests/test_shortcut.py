@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctgt
 from ctgt import (FeatureStats, InfeasibleLevelError, Spectrum,
@@ -366,3 +368,36 @@ def test_curve_table_rows():
     for r in grid_rows[:: max(1, len(grid_rows) // 5)]:
         direct = cmax(lam_r, lam_f, r["level"], 0.05)
         assert r["cmax"] == pytest.approx(direct, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore::ctgt.SeparationWarning",
+                            "ignore::RuntimeWarning")
+@settings(max_examples=80)
+@given(seed=st.integers(0, 10_000),
+       shape=st.sampled_from([(40, 8, 0), (12, 10, 3), (10, 14, 0)]),
+       effect=st.sampled_from([0.0, 2.0, 5.0]),
+       alpha=st.sampled_from([0.01, 0.05, 0.2]), data=st.data())
+def test_exact_tester_matches_the_series_cdf(seed, shape, effect, alpha,
+                                             data):
+    # (n, m, confounders): sets may hold more features than n - p, or n
+    n, m, confounders = shape
+    _, _, stats, provider = make_instance(seed=seed, n=n, m=m, effect=effect,
+                                          n_signal=2,
+                                          confounders=confounders)
+    F = active_universe(stats)
+    S = tuple(sorted(data.draw(
+        st.lists(st.sampled_from(F), min_size=1, max_size=len(F),
+                 unique=True), label="S")))
+    tester = ctgt.ExactTester(stats, provider, alpha)
+    try:
+        want = provider.dist(S).cdf(tester.statistic(S)) >= 1.0 - alpha
+    except ctgt.SeriesStallError:
+        # wide sets can stall the series; then only the bound decides
+        try:
+            assert tester.reject(S) and tester.n_by_bound == 1
+        except ctgt.SeriesStallError:
+            assert tester.n_by_bound == 0
+        return
+    assert tester.reject(S) == want
+    assert tester.n_tests == 1 and tester.n_by_bound <= 1
+    assert want or tester.n_by_bound == 0

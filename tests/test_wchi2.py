@@ -20,6 +20,7 @@ import ctgt
 from ctgt import (MajorizationError, SeriesStallError, WeightedChiSq,
                   alpha0_diagnostic, condense_weights, majorizes,
                   partial_sum_gap)
+from ctgt.wchi2 import chernoff_tail_bound
 
 # (weights, point, cdf) triples from the characteristic-function oracle
 CF_INVERSION_VALUES = [
@@ -100,6 +101,27 @@ def test_coefficients_match_the_recursion(lam):
     for p in (0.5, 0.95, 0.99):
         c = d.cdf(d.quantile(p, tol=tol))
         assert p <= c <= p + tol, (p, c)
+
+
+@settings(max_examples=60)
+@given(spectra(), st.floats(0.01, 30.0), st.floats(1.0, 4.0))
+def test_chernoff_bound_covers_the_computed_tail(lam, excess, stretch):
+    d = WeightedChiSq(lam)
+    level = float(lam.sum())
+    sq_sum = float(np.sum(lam * lam))
+    t = level * (1.0 + excess)
+    tail = 1.0 - d.cdf(t)
+    # any M >= max(lam) is admissible: the largest weight, a looser
+    # multiple of it, and sqrt(S2), one of the two the exact test uses
+    for lam_bound in (lam.max(), stretch * lam.max(), np.sqrt(sq_sum)):
+        bound = chernoff_tail_bound(level, sq_sum, lam_bound, t)
+        assert 0.0 <= bound <= 1.0
+        assert bound >= tail - 2.0 * d.trunc_tol, (lam_bound, bound, tail)
+    r = lam.size
+    equal = chernoff_tail_bound(level, level * level / r, level / r, t)
+    assert equal <= chernoff_tail_bound(level, sq_sum, lam.max(), t) * (
+        1.0 + 1e-12)
+    assert chernoff_tail_bound(level, sq_sum, lam.max(), level) == 1.0
 
 
 @pytest.mark.parametrize("lam", [(40.0, 1.0), (300.0, 7.0, 1.0),
