@@ -4,48 +4,42 @@ refinement, and a brute-force closed-testing oracle for validation."""
 
 from .bnb import (CollectionRow, IterativeResult, Subspace,
                   analyze_collection, iterative_shortcut)
-from .driver import (AlphaZeroRecord, EnumerationCapError, GlobaltestResult,
-                     OracleResult, alpha0_survey, full_closed_test,
-                     globaltest)
+from .driver import (EnumerationCapError, GlobaltestResult, OracleResult,
+                     alpha0_survey, full_closed_test, globaltest)
 from .io import (DataFormatError, DuplicatePathwayError, Log2DomainError,
                  MalformedLineError, MissingColumnError,
-                 NonBinaryResponseError, Pathway, PathwayCollection, RawTable,
-                 ResolvedPathway, glog, load_dataset, load_pathways,
-                 read_table, render_report, resolve_pathways, write_pathways,
-                 write_results)
+                 NonBinaryResponseError, Pathway, PathwayCollection, glog,
+                 load_dataset, load_pathways, read_table, render_report,
+                 resolve_pathways, write_pathways, write_results)
 from .linmodel import (Dataset, FeatureStats, NullModel,
                        NumericalBreakdownError, RankDeficientError,
                        SeparationWarning, Spectrum, SpectrumProvider,
                        feature_stats, fit_null, spectrum)
-from .shortcut import (CrossingOutcome, ExactTester, InfeasibleLevelError,
-                       PiecewiseCurve, SingleStepResult, TargetOutOfRangeError,
-                       cmax, crossing_test, curve_table, gmin_curve,
-                       inverse_gmin, level, majorizing_vector, single_step)
+from .shortcut import (ExactTester, InfeasibleLevelError, SingleStepResult,
+                       TargetOutOfRangeError, cmax, crossing_test, curve_table,
+                       gmin_curve, level, majorizing_vector, single_step)
 from .simulate import (FwerSummary, fwer_simulation, logistic_dataset,
                        random_index_sets)
 from .wchi2 import (MajorizationError, SeriesStallError, WeightedChiSq,
-                    alpha0_diagnostic, condense_weights, majorizes,
-                    partial_sum_gap)
+                    alpha0_diagnostic)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaZeroRecord", "CollectionRow", "CrossingOutcome", "DataFormatError",
-    "Dataset", "DuplicatePathwayError", "EnumerationCapError", "ExactTester",
-    "FeatureStats", "FwerSummary", "GlobaltestResult", "InfeasibleLevelError",
-    "IterativeResult", "Log2DomainError", "MajorizationError",
-    "MalformedLineError", "MissingColumnError", "NonBinaryResponseError",
-    "NullModel", "NumericalBreakdownError", "OracleResult", "Pathway",
-    "PathwayCollection", "PiecewiseCurve", "RankDeficientError", "RawTable",
-    "ResolvedPathway", "SeparationWarning", "SeriesStallError",
-    "SingleStepResult", "Spectrum", "SpectrumProvider", "Subspace",
-    "TargetOutOfRangeError", "WeightedChiSq", "alpha0_diagnostic",
-    "alpha0_survey", "analyze_collection", "cmax", "condense_weights",
+    "CollectionRow", "DataFormatError", "Dataset", "DuplicatePathwayError",
+    "EnumerationCapError", "ExactTester", "FeatureStats", "FwerSummary",
+    "GlobaltestResult", "InfeasibleLevelError", "IterativeResult",
+    "Log2DomainError", "MajorizationError", "MalformedLineError",
+    "MissingColumnError", "NonBinaryResponseError", "NullModel",
+    "NumericalBreakdownError", "OracleResult", "Pathway",
+    "PathwayCollection", "RankDeficientError", "SeparationWarning",
+    "SeriesStallError", "SingleStepResult", "Spectrum", "SpectrumProvider",
+    "Subspace", "TargetOutOfRangeError", "WeightedChiSq",
+    "alpha0_diagnostic", "alpha0_survey", "analyze_collection", "cmax",
     "crossing_test", "curve_table", "feature_stats", "fit_null",
-    "full_closed_test",
-    "fwer_simulation", "globaltest", "glog", "gmin_curve", "inverse_gmin",
-    "iterative_shortcut", "level", "load_dataset", "load_pathways",
-    "logistic_dataset", "majorizes", "majorizing_vector", "partial_sum_gap",
+    "full_closed_test", "fwer_simulation", "globaltest", "glog",
+    "gmin_curve", "iterative_shortcut", "level", "load_dataset",
+    "load_pathways", "logistic_dataset", "majorizing_vector",
     "random_index_sets", "read_table", "render_report", "resolve_pathways",
     "single_step", "spectrum", "write_pathways", "write_results",
 ]

@@ -22,8 +22,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from .linmodel import FeatureStats, SpectrumProvider, _check_index_set
-from .shortcut import (DEFAULT_EPSILON, NOT_REJECT, REJECT, UNSURE,
-                       _alpha_checked, _nested_sorted, single_step)
+from .shortcut import (NOT_REJECT, REJECT, UNSURE, _alpha_checked,
+                       _nested_sorted, single_step)
 
 DEFAULT_MAX_ITERATIONS = 20_000
 
@@ -55,15 +55,14 @@ class IterativeResult:
 
 
 def iterative_shortcut(stats: FeatureStats, provider: SpectrumProvider, R, F,
-                       alpha: float, epsilon: float = DEFAULT_EPSILON,
-                       max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                       trace: list | None = None) -> IterativeResult:
+                       alpha: float, *,
+                       max_iterations: int = DEFAULT_MAX_ITERATIONS
+                       ) -> IterativeResult:
     """Closed-testing decision for R within F under an iteration budget.
 
     Runs single-step passes over a LIFO worklist of subspaces, branching
     on inconclusive ones.  With budget 1 the decision coincides with a
-    lone single-step call on (R, F).  Passing a list as `trace` records
-    (subspace, decision) pairs for introspection.
+    lone single-step call on (R, F).
     """
     alpha = _alpha_checked(alpha)
     if max_iterations < 1:
@@ -73,11 +72,8 @@ def iterative_shortcut(stats: FeatureStats, provider: SpectrumProvider, R, F,
     used = 0
     while worklist and used < max_iterations:
         sub = worklist.pop()
-        result = single_step(stats, provider, sub.bottom, sub.top, alpha,
-                             epsilon)
+        result = single_step(stats, provider, sub.bottom, sub.top, alpha)
         used += 1
-        if trace is not None:
-            trace.append((sub, result.decision))
         if result.decision == NOT_REJECT:
             return IterativeResult(NOT_REJECT, used, result.witness,
                                    len(worklist))
@@ -120,7 +116,7 @@ def _ordered_map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _analyze_one(stats, provider, universe, alpha, epsilon, max_iterations,
+def _analyze_one(stats, provider, universe, alpha, max_iterations,
                  job) -> CollectionRow:
     name, members = job
     requested = tuple(dict.fromkeys(int(i) for i in members))
@@ -142,7 +138,7 @@ def _analyze_one(stats, provider, universe, alpha, epsilon, max_iterations,
         statistic = float(stats.g[list(active)].sum())
         critical = provider.dist(active).quantile(1.0 - alpha)
         res = iterative_shortcut(stats, provider, active, universe, alpha,
-                                 epsilon, max_iterations)
+                                 max_iterations=max_iterations)
         return CollectionRow(name=name, n_members=len(requested),
                              n_active=len(active), level=lvl,
                              statistic=statistic, critical_value=critical,
@@ -158,8 +154,7 @@ def _analyze_one(stats, provider, universe, alpha, epsilon, max_iterations,
 
 
 def analyze_collection(stats: FeatureStats, provider: SpectrumProvider,
-                       collection, alpha: float,
-                       epsilon: float = DEFAULT_EPSILON,
+                       collection, alpha: float, *,
                        max_iterations: int = DEFAULT_MAX_ITERATIONS,
                        workers: int = 1) -> list[CollectionRow]:
     """Run the iterative shortcut for every (name, member-indices) pair.
@@ -177,4 +172,4 @@ def analyze_collection(stats: FeatureStats, provider: SpectrumProvider,
         raise ValueError("no active features in the dataset")
     jobs = [(str(name), members) for name, members in collection]
     return _ordered_map(partial(_analyze_one, stats, provider, universe,
-                                alpha, epsilon, max_iterations), jobs, workers)
+                                alpha, max_iterations), jobs, workers)

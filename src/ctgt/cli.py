@@ -19,8 +19,9 @@ from .bnb import (DEFAULT_MAX_ITERATIONS, ERROR, NOT_REJECT, REJECT, SKIPPED,
                   UNSURE, analyze_collection, iterative_shortcut)
 from .driver import DEFAULT_CAP, alpha0_survey, full_closed_test, globaltest
 from .linmodel import SpectrumProvider, feature_stats, fit_null
-from .shortcut import DEFAULT_EPSILON, curve_table
+from .shortcut import curve_table
 from .simulate import fwer_simulation
+from .wchi2 import DEFAULT_TRUNC_TOL
 
 CAVEAT = ("# note: decisions rest on a conservative bound for superset null "
           "distributions; audit it on your data with the alpha0-check "
@@ -40,17 +41,15 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    default="none", help="feature normalization")
 
 
-def _add_run_args(p: argparse.ArgumentParser, search: bool = True,
+def _add_run_args(p: argparse.ArgumentParser, budget: bool = True,
                   trunc_tol: bool = True, workers: bool = False) -> None:
     p.add_argument("--alpha", type=float, default=0.05,
                    help="significance level, in (0, 0.5)")
-    if search:
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                       help="convergence tolerance of the crossing search")
+    if budget:
         p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
                        dest="max_iter", help="iteration budget per tested set")
     if trunc_tol:
-        p.add_argument("--trunc-tol", type=float, default=1e-12,
+        p.add_argument("--trunc-tol", type=float, default=DEFAULT_TRUNC_TOL,
                        dest="trunc_tol",
                        help="series truncation tolerance, in (0, 1)")
     if workers:
@@ -88,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="export decision envelopes for a set")
     _add_data_args(p)
     _add_set_arg(p)
-    _add_run_args(p, search=False)
+    _add_run_args(p, budget=False)
     p.add_argument("--samples", type=int, default=200,
                    help="evenly spaced levels to tabulate")
     p.add_argument("--out", help="write the curve table here (TSV)")
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha0-check",
                        help="audit bound conservatism on random supersets")
     _add_data_args(p)
-    _add_run_args(p, search=False)
+    _add_run_args(p, budget=False)
     p.add_argument("--samples", type=int, default=100,
                    help="total random supersets to audit")
     p.add_argument("--base-sets", type=int, default=4, dest="base_sets",
@@ -129,9 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _echo_config(pairs: dict, file) -> None:
-    print("# configuration", file=file)
-    for k, v in pairs.items():
-        print(f"#   {k} = {v}", file=file)
+    print("\n".join(tableio.comment_lines("configuration", pairs)), file=file)
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -197,8 +194,7 @@ def cmd_test(args, out=None) -> int:
         print(f"# inactive members dropped: {', '.join(dropped)}", file=out)
     single = globaltest(stats, provider, active, args.alpha)
     res = iterative_shortcut(stats, provider, active, stats.active_indices,
-                             args.alpha, epsilon=args.epsilon,
-                             max_iterations=args.max_iter)
+                             args.alpha, max_iterations=args.max_iter)
     print(f"set = {'+'.join(data.feature_names[j] for j in active)}",
           file=out)
     print(f"level = {tableio.fmt_value(float(stats.w[list(active)].sum()))}",
@@ -242,7 +238,6 @@ def cmd_analyze(args, out=None) -> int:
         jobs += [(name, (j,)) for j, name in enumerate(data.feature_names)]
         listed_sizes += [1] * len(data.feature_names)
     rows = analyze_collection(stats, provider, jobs, args.alpha,
-                              epsilon=args.epsilon,
                               max_iterations=args.max_iter,
                               workers=args.workers)
     config = _config_dict(args)
@@ -332,7 +327,6 @@ def cmd_oracle(args, out=None) -> int:
 
     t0 = time.perf_counter()
     short = iterative_shortcut(stats, provider, active, universe, args.alpha,
-                               epsilon=args.epsilon,
                                max_iterations=args.max_iter)
     t_short = time.perf_counter() - t0
 
@@ -361,7 +355,6 @@ def cmd_simulate(args, out=None) -> int:
     summary = fwer_simulation(n=args.n, m=args.m, n_pathways=args.n_pathways,
                               replicates=args.replicates, effect=args.effect,
                               n_signal=args.n_signal, alpha=args.alpha,
-                              epsilon=args.epsilon,
                               max_iterations=args.max_iter, seed=args.seed,
                               workers=args.workers)
     print(f"replicates_completed = {summary.replicates}", file=out)
@@ -419,9 +412,6 @@ def main(argv=None) -> int:
     if not 0.0 < args.alpha < 0.5:
         print(f"error: --alpha must be in (0, 0.5), got {args.alpha}",
               file=sys.stderr)
-        return 1
-    if "epsilon" in args and args.epsilon <= 0.0:
-        print("error: --epsilon must be positive", file=sys.stderr)
         return 1
     if "trunc_tol" in args and not 0.0 < args.trunc_tol < 1.0:
         print(f"error: --trunc-tol must be in (0, 1), got {args.trunc_tol}",

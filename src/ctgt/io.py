@@ -309,18 +309,21 @@ def write_results(rows, path) -> None:
             writer.writerow([row[c] for c in RESULT_COLUMNS])
 
 
+def comment_lines(title: str, pairs: dict) -> list[str]:
+    """'# title', then one '#   key = value' line per pair."""
+    return [f"# {title}"] + [f"#   {k} = {v}" for k, v in pairs.items()]
+
+
 def render_report(config: dict, rows, summary: dict) -> str:
     """Structured-text report: config block, result table, summary block.
 
     Deterministic for identical inputs: no timestamps, no environment
     state; key order follows the dicts handed in.
     """
-    lines = ["# configuration"]
-    lines += [f"#   {k} = {v}" for k, v in config.items()]
+    lines = comment_lines("configuration", config)
     if rows:
         lines.append("\t".join(RESULT_COLUMNS))
         for row in format_result_rows(rows):
             lines.append("\t".join(row[c] for c in RESULT_COLUMNS))
-    lines.append("# summary")
-    lines += [f"#   {k} = {v}" for k, v in summary.items()]
+    lines += comment_lines("summary", summary)
     return "\n".join(lines) + "\n"

@@ -81,14 +81,23 @@ class Dataset:
             raise ValueError("need at least one confounder column and one feature")
         if Z.shape[1] >= n:
             raise ValueError("more confounders than samples")
+        if len(self.feature_names) != X.shape[1]:
+            raise ValueError("feature_names length must match X columns")
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+        if bad.size:
+            raise ValueError("non-finite values (nan or inf) in feature "
+                             "column(s): " + ", ".join(
+                                 self.feature_names[j] for j in bad[:5]))
+        bad = np.flatnonzero(~np.isfinite(Z).all(axis=0))
+        if bad.size:
+            raise ValueError("non-finite values (nan or inf) in confounder "
+                             f"column {bad[0]} (column 0 is the intercept)")
         vals = np.unique(y)
         if not np.all(np.isin(vals, (0.0, 1.0))) or vals.size != 2:
             raise ValueError("response must contain both classes, coded 0/1")
         spans = np.ptp(Z, axis=0)
         if not np.any((spans == 0) & (Z[0] != 0)):
             raise ValueError("confounder matrix must include an intercept column")
-        if len(self.feature_names) != X.shape[1]:
-            raise ValueError("feature_names length must match X columns")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise ValueError("feature names must be unique")
         if len(self.sample_ids) != n:
@@ -309,7 +318,7 @@ class SpectrumProvider:
     """
 
     def __init__(self, dataset: Dataset, null: NullModel,
-                 trunc_tol: float = 1e-12):
+                 trunc_tol: float = wchi2.DEFAULT_TRUNC_TOL):
         self.dataset = dataset
         self.null = null
         self.trunc_tol = float(trunc_tol)

@@ -36,7 +36,8 @@ from scipy import special
 
 from .linmodel import (FeatureStats, Spectrum, SpectrumProvider,
                        _check_index_set, weighted_gram)
-from .wchi2 import WeightedChiSq, chernoff_tail_bound, condense_weights
+from .wchi2 import (DEFAULT_TRUNC_TOL, WeightedChiSq, chernoff_tail_bound,
+                    condense_weights)
 
 REJECT = "reject"
 NOT_REJECT = "not_reject"
@@ -45,7 +46,9 @@ UNSURE = "unsure"
 ABOVE = "above"
 CROSS = "cross"
 
-DEFAULT_EPSILON = 1e-4
+# the crossing search stops once a step moves the level by no more than
+# this (absolute level units)
+CROSSING_STEP = 1e-4
 # relative rounding allowance on a computed tail bound
 BOUND_REL_SLACK = 1e-9
 # floor of the absolute cdf error allowed for beside trunc_tol: the
@@ -242,7 +245,7 @@ def _pad_descending(spec: Spectrum, n: int) -> np.ndarray:
 
 
 def majorizing_vector(lambda_R: Spectrum, lambda_F: Spectrum,
-                      ell: float, condense_tol: float = CONDENSE_REL_TOL) -> Spectrum:
+                      ell: float) -> Spectrum:
     """Weight vector at level `ell` majorizing every superset spectrum there.
 
     The vector takes a head from the universe spectrum, a tail from the
@@ -251,15 +254,14 @@ def majorizing_vector(lambda_R: Spectrum, lambda_F: Spectrum,
     for head length i form contiguous windows tiling [level_R, level_F],
     so the construction picks the shortest feasible head.
 
-    Entries below condense_tol times the largest are merged pairwise into
-    lumps (see wchi2.condense_weights).  The connecting entry can sit
+    Entries below CONDENSE_REL_TOL times the largest are merged pairwise
+    into lumps (see wchi2.condense_weights).  The connecting entry can sit
     arbitrarily close to zero, which would blow up the series length of
     the resulting distribution; merging keeps the returned vector a
     majorant of everything the raw vector majorized while bounding the
-    weight ratio.  Pass condense_tol=0 to disable.  Without merging the
-    endpoint identities are exact: the vector at level_R is the base
-    spectrum, at level_F the universe spectrum; with it they hold
-    whenever the spectrum at the endpoint has no sub-threshold entries.
+    weight ratio.  The endpoint identities (the vector at level_R is the
+    base spectrum, at level_F the universe spectrum) hold whenever the
+    spectrum at the endpoint has no sub-threshold entries.
     """
     n = max(lambda_R.ambient_n, lambda_F.ambient_n,
             lambda_R.n_nonzero, lambda_F.n_nonzero)
@@ -287,14 +289,12 @@ def majorizing_vector(lambda_R: Spectrum, lambda_F: Spectrum,
     eta = ell - (cum_f[i] + tail_r[i + 1])
     eta = min(max(eta, float(lam_r[i])), float(lam_f[i]))
     vec = np.concatenate((lam_f[:i], [eta], lam_r[i + 1:]))
-    vec = vec[vec > 0.0]
-    if condense_tol > 0.0 and vec.size:
-        vec = condense_weights(vec, condense_tol)
+    vec = condense_weights(vec[vec > 0.0], CONDENSE_REL_TOL)
     return Spectrum(lambdas=vec, ambient_n=n, level=float(vec.sum()))
 
 
 def cmax(lambda_R: Spectrum, lambda_F: Spectrum, ell: float, alpha: float,
-         trunc_tol: float = 1e-12) -> float:
+         trunc_tol: float = DEFAULT_TRUNC_TOL) -> float:
     """Critical-value upper envelope at level `ell`: the (1 - alpha)-quantile
     of the majorizing vector's distribution."""
     _alpha_checked(alpha)
@@ -309,7 +309,7 @@ class CrossingOutcome:
     n_cmax_evals: int
 
 
-def crossing_test(curve: PiecewiseCurve, cmax_fn, epsilon: float = DEFAULT_EPSILON) -> CrossingOutcome:
+def crossing_test(curve: PiecewiseCurve, cmax_fn) -> CrossingOutcome:
     """Decide whether the statistic envelope clears the critical envelope.
 
     Fixed-point iteration: the first critical value is `cmax_fn` at the
@@ -324,25 +324,23 @@ def crossing_test(curve: PiecewiseCurve, cmax_fn, epsilon: float = DEFAULT_EPSIL
     minimum, so validity is unaffected and levels cannot oscillate.
     The iteration either drives the critical value to or below the base
     statistic (ABOVE: every superset must reject) or stops making
-    progress of more than `epsilon` per step (CROSS at that level).
+    progress of more than CROSSING_STEP per step (CROSS at that level).
 
     Requires the caller to have verified base and top exact tests pass;
     an immediate ABOVE after one evaluation means the top critical value
     already sits at or below the base statistic.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     g_base = curve.base_stat
     level_now = curve.top_level
     level_before = np.inf
     c = cmax_fn(level_now)
     n = 1
     max_steps = 10 * int(np.ceil((curve.top_level - curve.base_level)
-                                 / epsilon)) + 50
+                                 / CROSSING_STEP)) + 50
     for _ in range(max_steps):
         if c <= g_base:
             return CrossingOutcome(kind=ABOVE, level=level_now, n_cmax_evals=n)
-        if level_before - level_now <= epsilon:
+        if level_before - level_now <= CROSSING_STEP:
             return CrossingOutcome(kind=CROSS, level=level_now, n_cmax_evals=n)
         # c > g_base here, so the target lies inside the curve's range
         level_before = level_now
@@ -431,8 +429,7 @@ class SingleStepResult:
 
 
 def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
-                alpha: float, epsilon: float = DEFAULT_EPSILON
-                ) -> SingleStepResult:
+                alpha: float) -> SingleStepResult:
     """One shortcut pass for R within universe F.
 
     Decision order: exact tests of R and F (either failing is a witness);
@@ -500,7 +497,7 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
             return c_top
         return cmax(lam_base, lam_top, ell, alpha, provider.trunc_tol)
 
-    outcome = crossing_test(curve, envelope, epsilon)
+    outcome = crossing_test(curve, envelope)
     if outcome.kind == ABOVE:
         return SingleStepResult(REJECT, None, outcome.n_cmax_evals,
                                 exact.n_tests)

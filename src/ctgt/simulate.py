@@ -11,8 +11,7 @@ from .bnb import (DEFAULT_MAX_ITERATIONS, REJECT, _ordered_map,
                   iterative_shortcut)
 from .linmodel import (Dataset, RankDeficientError, SpectrumProvider,
                        feature_stats, fit_null)
-from .shortcut import (DEFAULT_EPSILON, InfeasibleLevelError,
-                       TargetOutOfRangeError)
+from .shortcut import InfeasibleLevelError, TargetOutOfRangeError
 
 MAX_REDRAWS = 100
 # random_index_sets draws sizes from this up to half the features
@@ -90,7 +89,7 @@ class FwerSummary:
                 f"with a false rejection; alpha={self.alpha})")
 
 
-def _one_replicate(n, m, n_pathways, effect, n_signal, alpha, epsilon,
+def _one_replicate(n, m, n_pathways, effect, n_signal, alpha,
                    max_iterations, seed_seq):
     """(false hits, null sets, true hits) of one replicate, or None when
     it fails (see fwer_simulation)."""
@@ -108,9 +107,9 @@ def _one_replicate(n, m, n_pathways, effect, n_signal, alpha, epsilon,
         null_sets = 0
         true_hits = 0
         for members in sets:
-            rejected = iterative_shortcut(stats, provider, members, universe,
-                                          alpha, epsilon,
-                                          max_iterations).decision == REJECT
+            rejected = iterative_shortcut(
+                stats, provider, members, universe, alpha,
+                max_iterations=max_iterations).decision == REJECT
             if signal & set(members):
                 true_hits += rejected  # overlaps the signal: not a true null
                 continue
@@ -125,7 +124,6 @@ def _one_replicate(n, m, n_pathways, effect, n_signal, alpha, epsilon,
 def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
                     replicates: int = 1000, effect: float = 0.0,
                     n_signal: int = 1, alpha: float = 0.05,
-                    epsilon: float = DEFAULT_EPSILON,
                     max_iterations: int = DEFAULT_MAX_ITERATIONS,
                     seed: int | None = None, workers: int = 1
                     ) -> FwerSummary:
@@ -149,7 +147,7 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
         raise ValueError("replicates must be at least 1")
     children = np.random.SeedSequence(seed).spawn(replicates)
     outcomes = _ordered_map(partial(_one_replicate, n, m, n_pathways, effect,
-                                    n_signal, alpha, epsilon, max_iterations),
+                                    n_signal, alpha, max_iterations),
                             children, workers)
     ok = [o for o in outcomes if o is not None]
     n_failed = replicates - len(ok)

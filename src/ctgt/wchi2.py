@@ -58,6 +58,9 @@ _LN2 = float(np.log(2.0))
 # weights this small relative to the largest are dropped before the series
 WEIGHT_REL_TOL = 1e-12
 
+# default certified absolute cdf error (the CLI's --trunc-tol default)
+DEFAULT_TRUNC_TOL = 1e-12
+
 # bound on the coefficient mass the FFT may alias, as a fraction of trunc_tol
 ALIAS_FRACTION = 1e-3
 
@@ -164,11 +167,11 @@ class WeightedChiSq:
     Parameters
     ----------
     lambdas : array-like or spectrum
-        Positive weights; entries below 1e-12 times the largest are
-        stripped.  Negative entries raise ValueError.
+        Positive weights; entries below WEIGHT_REL_TOL times the largest
+        are stripped.  Negative or non-finite entries raise ValueError.
     trunc_tol : float
-        Certified absolute cdf error bound (default 1e-12).  Truncation
-        only drops nonnegative terms, and FFT aliasing adds at most
+        Certified absolute cdf error bound (default DEFAULT_TRUNC_TOL).
+        Truncation only drops nonnegative terms, and FFT aliasing adds at most
         ALIAS_FRACTION * trunc_tol, so up to rounding (about 1e-13) the
         computed cdf lies in [true cdf - trunc_tol, true cdf +
         ALIAS_FRACTION * trunc_tol].
@@ -178,13 +181,15 @@ class WeightedChiSq:
         terms.
     """
 
-    def __init__(self, lambdas, trunc_tol: float = 1e-12,
+    def __init__(self, lambdas, trunc_tol: float = DEFAULT_TRUNC_TOL,
                  max_terms: int = 100_000):
         lam = _as_weights(lambdas)
         if lam.size == 0:
             raise ValueError("at least one weight required")
         if np.any(lam < 0):
             raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("weights must be finite")
         lam = lam[lam > WEIGHT_REL_TOL * lam[0]]
         if lam.size == 0:
             raise ValueError("all weights are zero")
@@ -416,7 +421,7 @@ def condense_weights(weights, reltol: float) -> np.ndarray:
 
 
 def alpha0_diagnostic(lambda_true, lambda_major, *,
-                      trunc_tol: float = 1e-12) -> float:
+                      trunc_tol: float = DEFAULT_TRUNC_TOL) -> float:
     """Largest significance level at which the majorizing bound is valid.
 
     Scans cdf(major) - cdf(true) on a geometric grid of

@@ -18,7 +18,8 @@ from scipy.stats import chi2
 import ctgt
 from ctgt import (WeightedChiSq, alpha0_diagnostic, alpha0_survey, cmax,
                   full_closed_test, gmin_curve, iterative_shortcut,
-                  majorizing_vector, majorizes, single_step)
+                  majorizing_vector, single_step)
+from ctgt.wchi2 import majorizes
 
 from conftest import active_universe, make_instance
 

@@ -75,6 +75,14 @@ def test_shortcut_agrees_with_closed_testing_on_random_instances(
             full.witness)
     one = iterative_shortcut(stats, provider, R, F, 0.05, max_iterations=1)
     assert one.decision == single_step(stats, provider, R, F, 0.05).decision
+    # a larger budget never flips a settled decision, and never unsettles one
+    decisions = [one.decision] + [
+        iterative_shortcut(stats, provider, R, F, 0.05,
+                           max_iterations=budget).decision
+        for budget in (2, 4)] + [full.decision]
+    assert set(decisions) <= {"unsure", full.decision}
+    settled = [d != "unsure" for d in decisions]
+    assert settled == sorted(settled)
 
 
 def test_not_reject_witness_fails_its_own_test():
@@ -129,10 +137,20 @@ def _family(sub):
     return out
 
 
-def test_rejecting_run_partitions_the_superset_family():
-    # hunt for a run that needs real branching, then check its trace:
-    # the rejected subspaces cover every superset exactly once
-    # (seed 129 rejects after 11 iterations)
+def test_rejecting_run_partitions_the_superset_family(monkeypatch):
+    # hunt for a run that needs real branching, then check its trace of
+    # (subspace, single-step decision) pairs: the rejected subspaces
+    # cover every superset exactly once (seed 129 rejects after 11
+    # iterations)
+    real = ctgt.bnb.single_step
+    trace = []
+
+    def spy(stats, provider, R, F, alpha):
+        result = real(stats, provider, R, F, alpha)
+        trace.append((Subspace(top=F, bottom=R), result.decision))
+        return result
+
+    monkeypatch.setattr(ctgt.bnb, "single_step", spy)
     for seed in range(125, 140):
         data, null, stats, provider = make_instance(
             seed=seed, n=25, m=8, effect=1.0, n_signal=4)
@@ -140,9 +158,9 @@ def test_rejecting_run_partitions_the_superset_family():
         if len(F) < 4:
             continue
         R = F[:1]
-        trace = []
+        trace.clear()
         res = iterative_shortcut(stats, provider, R, F, 0.05,
-                                 max_iterations=10**8, trace=trace)
+                                 max_iterations=10**8)
         if res.decision != "reject" or res.iterations_used < 3:
             continue
         # branched (unsure) entries are interior nodes; the rejected

@@ -58,8 +58,6 @@ def test_flag_validation_rejects_bad_values(tmp_path, capsys):
     assert "--alpha" in capsys.readouterr().err
     assert main(base + ["--alpha", "0"]) == 1
     capsys.readouterr()
-    assert main(base + ["--epsilon", "0"]) == 1
-    assert "--epsilon" in capsys.readouterr().err
     assert main(base + ["--max-iter", "0"]) == 1
     assert "--max-iter" in capsys.readouterr().err
     # refused up front, not run with every set reported as an error row
@@ -76,15 +74,18 @@ def test_flag_validation_rejects_bad_values(tmp_path, capsys):
 def test_each_subcommand_accepts_only_the_flags_it_reads(tmp_path, capsys):
     data = ["--data", str(tmp_path / "d.csv"), "--response", "y"]
     one_set = data + ["--set", "f1"]
+    analyze = data + ["--pathways", str(tmp_path / "p.tsv")]
     unread = [(["test"] + one_set, "--workers"),
               (["curves"] + one_set, "--workers"),
-              (["curves"] + one_set, "--epsilon"),
               (["curves"] + one_set, "--max-iter"),
               (["oracle"] + one_set, "--workers"),
               (["simulate"], "--trunc-tol"),
               (["alpha0-check"] + data, "--workers"),
-              (["alpha0-check"] + data, "--epsilon"),
               (["alpha0-check"] + data, "--max-iter")]
+    # the crossing search's step is a constant, settable by no subcommand
+    unread += [(args, "--epsilon") for args in (
+        ["test"] + one_set, ["analyze"] + analyze, ["curves"] + one_set,
+        ["oracle"] + one_set, ["simulate"], ["alpha0-check"] + data)]
     for args, flag in unread:
         with pytest.raises(SystemExit) as exc:
             main(args + [flag, "2"])
@@ -92,9 +93,26 @@ def test_each_subcommand_accepts_only_the_flags_it_reads(tmp_path, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
     assert main(["simulate", "--workers", "0"]) == 1
     assert "--workers" in capsys.readouterr().err
-    assert main(["analyze"] + data + ["--pathways", str(tmp_path / "p.tsv"),
-                                      "--workers", "-3"]) == 1
+    assert main(["analyze"] + analyze + ["--workers", "-3"]) == 1
     assert "--workers" in capsys.readouterr().err
+
+
+def test_non_finite_data_is_a_clean_error(tmp_path, capsys):
+    _write_dataset(tmp_path / "d.csv", m=5)
+    rows = (tmp_path / "d.csv").read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[2], cells[4] = "nan", "inf"      # f2 and f4
+    rows[3] = ",".join(cells)
+    (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+    _write_pathways(tmp_path / "p.tsv")
+    data = ["--data", str(tmp_path / "d.csv"), "--response", "y"]
+    for args in (["test"] + data + ["--set", "f1,f2"],
+                 ["analyze"] + data + ["--pathways", str(tmp_path / "p.tsv")]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: non-finite values (nan or inf) in "
+                                "feature column(s): f2, f4\n")
 
 
 def test_missing_response_column_is_exit_one(tmp_path, capsys):

@@ -117,6 +117,16 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(y=y, Z=ones, X=X[:, :1], feature_names=("a", "b"),
                 sample_ids=ids)                       # shape mismatch
+    bad_X = np.column_stack([X, X[:, 0]])
+    bad_X[4, 1], bad_X[7, 2] = np.nan, np.inf
+    with pytest.raises(ValueError, match=r"feature column\(s\): b, c$"):
+        Dataset(y=y, Z=ones, X=bad_X, feature_names=("a", "b", "c"),
+                sample_ids=ids)                       # nan and inf cells
+    bad_Z = np.column_stack([ones, X[:, 0]])
+    bad_Z[3, 1] = -np.inf
+    with pytest.raises(ValueError, match="confounder column 1"):
+        Dataset(y=y, Z=bad_Z, X=X, feature_names=("a", "b"),
+                sample_ids=ids)                       # non-finite confounder
 
 
 def test_statistic_additivity_against_full_quadratic_form():

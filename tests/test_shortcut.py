@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 import ctgt
 from ctgt import (FeatureStats, InfeasibleLevelError, Spectrum,
                   TargetOutOfRangeError, WeightedChiSq, cmax, crossing_test,
-                  curve_table, full_closed_test, gmin_curve, inverse_gmin,
-                  level, majorizes, majorizing_vector, single_step)
+                  curve_table, full_closed_test, gmin_curve, level,
+                  majorizing_vector, single_step)
+from ctgt.shortcut import inverse_gmin
+from ctgt.wchi2 import majorizes
 
 from conftest import active_universe, make_instance
 
@@ -118,13 +120,12 @@ def test_tiny_connecting_entry_is_condensed():
     lam_r = Spectrum(lambdas=np.array([4.0]), ambient_n=6, level=4.0)
     lam_f = Spectrum(lambdas=np.array([5.0, 3.0, 2.0, 1.0]), ambient_n=6,
                      level=11.0)
+    # (the raw vector is [5.0, 1e-6]; its tiny entry merges into the head)
     ell = 5.0 + 1e-6
-    raw = majorizing_vector(lam_r, lam_f, ell, condense_tol=0.0)
-    assert raw.lambdas == pytest.approx([5.0, 1e-6], rel=1e-9)
     vec = majorizing_vector(lam_r, lam_f, ell)
-    assert vec.lambdas.min() >= 5e-3 * vec.lambdas.max()
+    assert vec.lambdas.tolist() == [5.0 + 1e-6]
     assert vec.level == pytest.approx(ell, abs=1e-12)
-    assert majorizes(vec, raw, tol=1e-12)
+    assert majorizes(vec, [5.0, 1e-6], tol=1e-12)
     c = cmax(lam_r, lam_f, ell, 0.05)
     assert c >= WeightedChiSq([5.0]).quantile(0.95)
 
@@ -204,9 +205,9 @@ def test_single_step_starts_the_crossing_at_the_universe_critical_value(
     real = ctgt.shortcut.crossing_test
     seen = []
 
-    def spy(curve, cmax_fn, epsilon):
+    def spy(curve, cmax_fn):
         seen.append((curve, cmax_fn))
-        return real(curve, cmax_fn, epsilon)
+        return real(curve, cmax_fn)
 
     monkeypatch.setattr(ctgt.shortcut, "crossing_test", spy)
     single_step(stats, provider, F[1:2], F, 0.05)
@@ -290,16 +291,9 @@ def test_crossing_flat_bound_finds_the_crossing_level():
     # constant critical value 6 crosses the hand curve where g_min = 6
     stats = _hand_stats([5.0, 1.0, 3.0, 2.0], [1.0, 2.0, 1.0, 2.0])
     curve = gmin_curve(stats, (0,), (0, 1, 2, 3))
-    out = crossing_test(curve, lambda l: 6.0, epsilon=1e-6)
+    out = crossing_test(curve, lambda l: 6.0)
     assert out.kind == "cross"
     assert out.level == pytest.approx(3.0, abs=1e-5)
-
-
-def test_crossing_epsilon_validation():
-    stats = _hand_stats([5.0, 1.0], [1.0, 1.0])
-    curve = gmin_curve(stats, (0,), (0, 1))
-    with pytest.raises(ValueError):
-        crossing_test(curve, lambda l: 1.0, epsilon=0.0)
 
 
 def test_single_step_result_invariants():

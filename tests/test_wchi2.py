@@ -18,9 +18,9 @@ from scipy.stats import chi2
 
 import ctgt
 from ctgt import (MajorizationError, SeriesStallError, WeightedChiSq,
-                  alpha0_diagnostic, condense_weights, majorizes,
-                  partial_sum_gap)
-from ctgt.wchi2 import chernoff_tail_bound
+                  alpha0_diagnostic)
+from ctgt.wchi2 import (chernoff_tail_bound, condense_weights, majorizes,
+                        partial_sum_gap)
 
 # (weights, point, cdf) triples from the characteristic-function oracle
 CF_INVERSION_VALUES = [
@@ -239,6 +239,9 @@ def test_invalid_weights_rejected():
         WeightedChiSq([1.0, -0.5])
     with pytest.raises(ValueError):
         WeightedChiSq([])
+    for weights in ([1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightedChiSq(weights)
 
 
 def test_extreme_ratio_stalls_with_clear_error():
