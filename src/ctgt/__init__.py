@@ -13,8 +13,8 @@ from .io import (DataFormatError, DuplicatePathwayError, Log2DomainError,
                  resolve_pathways, write_pathways, write_results)
 from .linmodel import (Dataset, FeatureStats, NullModel,
                        NumericalBreakdownError, RankDeficientError,
-                       SeparationWarning, Spectrum, SpectrumProvider,
-                       feature_stats, fit_null, spectrum)
+                       SeparationWarning, SpectrumProvider, feature_stats,
+                       fit_null, spectrum)
 from .shortcut import (ExactTester, InfeasibleLevelError, SingleStepResult,
                        TargetOutOfRangeError, cmax, crossing_test, curve_table,
                        gmin_curve, level, majorizing_vector, single_step)
@@ -33,7 +33,7 @@ __all__ = [
     "MissingColumnError", "NonBinaryResponseError", "NullModel",
     "NumericalBreakdownError", "OracleResult", "Pathway",
     "PathwayCollection", "RankDeficientError", "SeparationWarning",
-    "SeriesStallError", "SingleStepResult", "Spectrum", "SpectrumProvider",
+    "SeriesStallError", "SingleStepResult", "SpectrumProvider",
     "Subspace", "TargetOutOfRangeError", "WeightedChiSq",
     "alpha0_diagnostic", "alpha0_survey", "analyze_collection", "cmax",
     "crossing_test", "curve_table", "feature_stats", "fit_null",

@@ -271,6 +271,8 @@ def cmd_analyze(args, out=None) -> int:
     if args.out:
         tableio.write_results(row_dicts, args.out)
         print(f"# results written to {args.out}", file=out)
+    if counts[ERROR]:
+        return 1
     return 2 if counts[UNSURE] else 0
 
 

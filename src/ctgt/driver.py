@@ -137,9 +137,10 @@ def alpha0_survey(stats: FeatureStats, provider: SpectrumProvider,
             add = rng.choice(comp, size=extra, replace=False)
             sup = tuple(sorted(base + tuple(int(i) for i in add)))
             lam_sup = provider.spectrum(sup)
-            major = majorizing_vector(lam_base, lam_full, lam_sup.level)
-            a0 = alpha0_diagnostic(lam_sup.lambdas, major.lambdas,
+            lvl = float(lam_sup.sum())
+            major = majorizing_vector(lam_base, lam_full, lvl)
+            a0 = alpha0_diagnostic(lam_sup, major,
                                    trunc_tol=provider.trunc_tol)
             records.append(AlphaZeroRecord(base=base, superset=sup,
-                                           level=lam_sup.level, alpha0=a0))
+                                           level=lvl, alpha0=a0))
     return records

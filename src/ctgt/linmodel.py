@@ -163,27 +163,6 @@ class FeatureStats:
         return tuple(int(i) for i in np.nonzero(self.active)[0])
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Descending positive eigenvalues of a feature set's quadratic form.
-
-    ambient_n is the sample count (the padded length used when comparing
-    spectra); level is the eigenvalue sum, which equals the set's weight
-    sum by the trace identity.
-    """
-
-    lambdas: np.ndarray
-    ambient_n: int
-    level: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", _frozen(np.asarray(self.lambdas).ravel()))
-
-    @property
-    def n_nonzero(self) -> int:
-        return self.lambdas.size
-
-
 def fit_null(dataset: Dataset) -> NullModel:
     """Fit the logistic null model of the response on the confounders.
 
@@ -274,7 +253,7 @@ def weighted_gram(columns: np.ndarray, null: NullModel, idx) -> np.ndarray:
 
 
 def spectrum(dataset: Dataset, null: NullModel, R,
-             columns: np.ndarray | None = None) -> Spectrum:
+             columns: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalue spectrum of the quadratic form for feature set R.
 
     Computed from the residualized member columns, read from `columns`
@@ -282,8 +261,9 @@ def spectrum(dataset: Dataset, null: NullModel, R,
     r x r sigma-weighted Gram matrix when r <= n, the n x n form
     otherwise; the two share their nonzero eigenvalues.  Eigenvalues
     within -1e-10*max of zero are clamped to zero; anything below that
-    raises NumericalBreakdownError.  Only strictly positive eigenvalues
-    are kept.
+    raises NumericalBreakdownError.  Returns the strictly positive
+    eigenvalues, descending, as a read-only array; their sum is the
+    set's level (its weight sum, by the trace identity).
     """
     idx = _check_index_set(R, dataset.n_features)
     n = dataset.n_samples
@@ -301,8 +281,7 @@ def spectrum(dataset: Dataset, null: NullModel, R,
         raise NumericalBreakdownError(
             f"eigenvalue {vals.min():.3e} below tolerance {-neg_tol:.3e}")
     vals = vals[vals > 0.0]
-    vals = np.sort(vals)[::-1]
-    return Spectrum(lambdas=vals, ambient_n=n, level=float(vals.sum()))
+    return _frozen(np.sort(vals)[::-1])
 
 
 class SpectrumProvider:
@@ -325,12 +304,6 @@ class SpectrumProvider:
         # key -> (spectrum, distribution or None until first requested)
         self._cache: dict[frozenset, tuple] = {}
 
-    def _store(self, key: frozenset, entry: tuple) -> None:
-        full = len(self._cache) >= PROVIDER_CACHE_CAP
-        if full and key not in self._cache:
-            del self._cache[next(iter(self._cache))]
-        self._cache[key] = entry
-
     @functools.cached_property
     def columns(self) -> np.ndarray:
         """The residualized feature columns, n x m, computed on first use."""
@@ -338,21 +311,22 @@ class SpectrumProvider:
         cols.flags.writeable = False
         return cols
 
-    def spectrum(self, R) -> Spectrum:
+    def spectrum(self, R) -> np.ndarray:
         key = frozenset(int(i) for i in R)
         hit = self._cache.get(key)
         if hit is None:
             hit = (spectrum(self.dataset, self.null, key, self.columns),
                    None)
-            self._store(key, hit)
+            if len(self._cache) >= PROVIDER_CACHE_CAP:
+                del self._cache[next(iter(self._cache))]
+            self._cache[key] = hit
         return hit[0]
 
     def dist(self, R) -> wchi2.WeightedChiSq:
         key = frozenset(int(i) for i in R)
-        spec, hit = self._cache.get(key, (None, None))
+        lam = self.spectrum(key)          # stores the entry if it is new
+        hit = self._cache[key][1]
         if hit is None:
-            if spec is None:
-                spec = spectrum(self.dataset, self.null, key, self.columns)
-            hit = wchi2.WeightedChiSq(spec, trunc_tol=self.trunc_tol)
-            self._store(key, (spec, hit))
+            hit = wchi2.WeightedChiSq(lam, trunc_tol=self.trunc_tol)
+            self._cache[key] = (lam, hit)
         return hit

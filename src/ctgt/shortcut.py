@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .linmodel import (FeatureStats, Spectrum, SpectrumProvider,
-                       _check_index_set, weighted_gram)
+from .linmodel import (FeatureStats, SpectrumProvider, _check_index_set,
+                       weighted_gram)
 from .wchi2 import (DEFAULT_TRUNC_TOL, WeightedChiSq, chernoff_tail_bound,
-                    condense_weights)
+                    condense_weights, padded_pair)
 
 REJECT = "reject"
 NOT_REJECT = "not_reject"
@@ -239,13 +239,8 @@ def likeliest_failing_step(curve: PiecewiseCurve, provider: SpectrumProvider
     return k + 1, float(pvals[k])
 
 
-def _pad_descending(spec: Spectrum, n: int) -> np.ndarray:
-    lam = np.asarray(spec.lambdas, dtype=float)
-    return np.pad(lam, (0, n - lam.size))
-
-
-def majorizing_vector(lambda_R: Spectrum, lambda_F: Spectrum,
-                      ell: float) -> Spectrum:
+def majorizing_vector(lambda_R: np.ndarray, lambda_F: np.ndarray,
+                      ell: float) -> np.ndarray:
     """Weight vector at level `ell` majorizing every superset spectrum there.
 
     The vector takes a head from the universe spectrum, a tail from the
@@ -262,11 +257,14 @@ def majorizing_vector(lambda_R: Spectrum, lambda_F: Spectrum,
     weight ratio.  The endpoint identities (the vector at level_R is the
     base spectrum, at level_F the universe spectrum) hold whenever the
     spectrum at the endpoint has no sub-threshold entries.
+
+    The spectra are zero-padded to the longer one's length.  Padding
+    them further would change no vector strictly inside the range: the
+    window sums are cumulative sums, to which trailing zeros add exact
+    zeros.  Returns a read-only array, sorted descending.
     """
-    n = max(lambda_R.ambient_n, lambda_F.ambient_n,
-            lambda_R.n_nonzero, lambda_F.n_nonzero)
-    lam_r = _pad_descending(lambda_R, n)
-    lam_f = _pad_descending(lambda_F, n)
+    lam_r, lam_f = padded_pair(lambda_R, lambda_F)
+    n = lam_r.size
     scale = max(1.0, float(lam_f[0]))
     if np.any(lam_r > lam_f + 1e-8 * scale):
         raise InfeasibleLevelError(
@@ -282,19 +280,19 @@ def majorizing_vector(lambda_R: Spectrum, lambda_F: Spectrum,
     # window(i): sum(lam_f[:i]) + sum(lam_r[i:]) <= ell <= same with i+1
     cum_f = np.concatenate(([0.0], np.cumsum(lam_f)))
     tail_r = np.concatenate((np.cumsum(lam_r[::-1])[::-1], [0.0]))
-    lower = cum_f[:-1] + tail_r[:-1]           # lower[i], i = 0..n-1
-    upper = cum_f[1:] + tail_r[1:]             # upper[i] = lower[i+1]
+    upper = cum_f[1:] + tail_r[1:]             # upper end of window(i)
     i = int(np.searchsorted(upper, ell, side="left"))
     i = min(i, n - 1)
     eta = ell - (cum_f[i] + tail_r[i + 1])
     eta = min(max(eta, float(lam_r[i])), float(lam_f[i]))
     vec = np.concatenate((lam_f[:i], [eta], lam_r[i + 1:]))
     vec = condense_weights(vec[vec > 0.0], CONDENSE_REL_TOL)
-    return Spectrum(lambdas=vec, ambient_n=n, level=float(vec.sum()))
+    vec.flags.writeable = False
+    return vec
 
 
-def cmax(lambda_R: Spectrum, lambda_F: Spectrum, ell: float, alpha: float,
-         trunc_tol: float = DEFAULT_TRUNC_TOL) -> float:
+def cmax(lambda_R: np.ndarray, lambda_F: np.ndarray, ell: float,
+         alpha: float, trunc_tol: float = DEFAULT_TRUNC_TOL) -> float:
     """Critical-value upper envelope at level `ell`: the (1 - alpha)-quantile
     of the majorizing vector's distribution."""
     _alpha_checked(alpha)

@@ -29,12 +29,16 @@ def logistic_dataset(n: int, m: int, effect: float = 0.0, n_signal: int = 1,
     probability one half.  Confounder columns, when requested, are extra
     standard-normal covariates with no effect on the response.  Draws
     where the response lands in a single class are redrawn (response
-    only) so the result is always a valid two-class dataset.
+    only) so the result is always a valid two-class dataset.  A nan
+    effect raises ValueError; an infinite one gives a deterministic
+    response.
     """
     if rng is None:
         rng = np.random.default_rng()
     if n_signal < 1 or n_signal > m:
         raise ValueError("n_signal must be in [1, m]")
+    if np.isnan(effect):
+        raise ValueError(f"effect must be a number, got {effect}")
     X = rng.standard_normal((n, m))
     C = rng.standard_normal((n, confounders)) if confounders else None
     logit = effect * X[:, :n_signal].sum(axis=1) / np.sqrt(n_signal)

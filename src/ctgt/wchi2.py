@@ -96,10 +96,18 @@ class MajorizationError(ValueError):
     """The claimed majorizing vector does not majorize the other one."""
 
 
-def _as_weights(spec) -> np.ndarray:
-    """Accept a spectrum-like object (has .lambdas) or a plain array."""
-    lam = getattr(spec, "lambdas", spec)
+def _as_weights(lam) -> np.ndarray:
+    """An array-like of weights as a flat float array, sorted descending."""
     return np.sort(np.asarray(lam, dtype=float).ravel())[::-1]
+
+
+def padded_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two weight vectors sorted descending and zero-padded to the longer
+    one's length."""
+    a = _as_weights(a)
+    b = _as_weights(b)
+    n = max(a.size, b.size)
+    return np.pad(a, (0, n - a.size)), np.pad(b, (0, n - b.size))
 
 
 def _power_of_two(n: float) -> int:
@@ -166,7 +174,7 @@ class WeightedChiSq:
 
     Parameters
     ----------
-    lambdas : array-like or spectrum
+    lambdas : array-like
         Positive weights; entries below WEIGHT_REL_TOL times the largest
         are stripped.  Negative or non-finite entries raise ValueError.
     trunc_tol : float
@@ -373,11 +381,7 @@ def partial_sum_gap(major, minor) -> float:
     return value >= -tol together with matching totals certifies that
     `major` majorizes `minor`.
     """
-    a = _as_weights(major)
-    b = _as_weights(minor)
-    n = max(a.size, b.size)
-    a = np.pad(a, (0, n - a.size))
-    b = np.pad(b, (0, n - b.size))
+    a, b = padded_pair(major, minor)
     return float(np.min(np.cumsum(a) - np.cumsum(b)))
 
 
@@ -447,9 +451,7 @@ def alpha0_diagnostic(lambda_true, lambda_major, *,
         raise MajorizationError(
             "second argument must majorize the first (partial sums dip by "
             f"{-partial_sum_gap(lam_m, lam_t):.3e})")
-    n = max(lam_t.size, lam_m.size)
-    pad_t = np.pad(lam_t, (0, n - lam_t.size))
-    pad_m = np.pad(lam_m, (0, n - lam_m.size))
+    pad_t, pad_m = padded_pair(lam_t, lam_m)
     scale = max(1.0, float(pad_t.max(initial=0.0)))
     if np.allclose(pad_t, pad_m, rtol=0.0, atol=1e-10 * scale):
         return 1.0

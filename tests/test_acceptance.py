@@ -97,17 +97,18 @@ def envelope_sweep():
                 S = tuple(sorted(R + extra))
                 out["supersets"] += 1
                 lam_S = provider.spectrum(S)
+                lvl = float(lam_S.sum())
                 g_S = float(stats.g[list(S)].sum())
-                env = curve.evaluate(lam_S.level)
+                env = curve.evaluate(lvl)
                 if g_S < env - 1e-8 * max(1.0, abs(g_S)):
                     out["envelope_bad"].append((4000 + i, S, g_S, env))
-                major = majorizing_vector(lam_R, lam_F, lam_S.level)
-                if not majorizes(major.lambdas, lam_S.lambdas, tol=1e-8):
+                major = majorizing_vector(lam_R, lam_F, lvl)
+                if not majorizes(major, lam_S, tol=1e-8):
                     out["major_bad"].append((4000 + i, S))
                 c_exact = provider.dist(S).quantile(1.0 - ALPHA)
-                c_bound = cmax(lam_R, lam_F, lam_S.level, ALPHA)
+                c_bound = cmax(lam_R, lam_F, lvl, ALPHA)
                 if c_exact > c_bound + 1e-8 * max(1.0, c_bound):
-                    a0 = alpha0_diagnostic(lam_S.lambdas, major.lambdas)
+                    a0 = alpha0_diagnostic(lam_S, major)
                     out["quantile_bad"].append((4000 + i, S, c_exact,
                                                 c_bound, a0))
     return out

@@ -150,6 +150,24 @@ def test_analyze_exits_two_when_a_set_is_unsure(tmp_path, capsys):
     assert "#   unsure = 1" in out
 
 
+def test_analyze_exits_one_when_a_set_errors(tmp_path, capsys, monkeypatch):
+    _write_dataset(tmp_path / "d.csv")
+    _write_pathways(tmp_path / "p.tsv")
+
+    def stalls(*args, **kwargs):
+        raise ctgt.SeriesStallError("stalled")
+
+    monkeypatch.setattr(ctgt.bnb, "iterative_shortcut", stalls)
+    code = main(["analyze", "--data", str(tmp_path / "d.csv"),
+                 "--response", "y", "--pathways", str(tmp_path / "p.tsv"),
+                 "--out", str(tmp_path / "res.csv")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "#   errors = 3" in out          # every set but the skipped one
+    assert "# good: stalled" in out
+    assert (tmp_path / "res.csv").read_text().count(",error,") == 3
+
+
 def _write_pathways(path):
     lines = [
         "good\tfirst three features\tf1\tf2\tf3",
@@ -231,6 +249,14 @@ def test_simulate_is_reproducible_under_a_seed(capsys):
     assert "fwer_estimate = " in first
     assert "avg_true_rejections = " in first
     assert "replicates_completed = 5" in first
+
+
+def test_simulate_refuses_a_nan_effect(capsys):
+    code = main(["simulate", "--n", "25", "--m", "5", "--replicates", "3",
+                 "--effect", "nan", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "effect must be a number, got nan" in err
 
 
 def test_alpha0_check_reports_a_verdict(tmp_path, capsys):

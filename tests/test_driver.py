@@ -156,7 +156,7 @@ def test_survey_shapes_and_pair_structure():
     for r in records:
         assert set(r.base) < set(r.superset) <= universe
         assert r.level == pytest.approx(
-            provider.spectrum(r.superset).level, rel=1e-12)
+            provider.spectrum(r.superset).sum(), rel=1e-12)
         assert 0.0 < r.alpha0 <= 1.0
 
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctgt
-from ctgt import (FeatureStats, InfeasibleLevelError, Spectrum,
-                  TargetOutOfRangeError, WeightedChiSq, cmax, crossing_test,
-                  curve_table, full_closed_test, gmin_curve, level,
-                  majorizing_vector, single_step)
+from ctgt import (FeatureStats, InfeasibleLevelError, TargetOutOfRangeError,
+                  WeightedChiSq, cmax, crossing_test, curve_table,
+                  full_closed_test, gmin_curve, level, majorizing_vector,
+                  single_step)
 from ctgt.shortcut import inverse_gmin
 from ctgt.wchi2 import majorizes
 
@@ -108,23 +108,47 @@ def test_majorizing_vector_endpoint_identities():
     F = active_universe(stats)
     lam_r = provider.spectrum(F[:2])
     lam_f = provider.spectrum(F)
-    at_base = majorizing_vector(lam_r, lam_f, lam_r.level)
-    at_top = majorizing_vector(lam_r, lam_f, lam_f.level)
-    assert at_base.lambdas == pytest.approx(lam_r.lambdas, rel=1e-9)
-    assert at_top.lambdas == pytest.approx(lam_f.lambdas, rel=1e-9)
+    at_base = majorizing_vector(lam_r, lam_f, lam_r.sum())
+    at_top = majorizing_vector(lam_r, lam_f, lam_f.sum())
+    assert at_base == pytest.approx(lam_r, rel=1e-9)
+    assert at_top == pytest.approx(lam_f, rel=1e-9)
+    assert not at_base.flags.writeable
+
+
+@pytest.mark.parametrize("n, m", [(40, 30), (12, 20)])
+def test_majorizing_vector_does_not_depend_on_padding(n, m):
+    # the two spectra have unequal lengths; trailing zeros on either one
+    # leave every vector inside the range bitwise equal, and move the
+    # endpoint vectors only by the pairwise rounding of the range's sums
+    data, null, stats, provider = make_instance(seed=163, n=n, m=m,
+                                                effect=1.0, n_signal=2)
+    F = active_universe(stats)
+    lam_r = provider.spectrum(F[:len(F) // 2])
+    lam_f = provider.spectrum(F)
+    assert lam_r.size != lam_f.size
+    levels = np.linspace(lam_r.sum(), lam_f.sum(), 25)
+    plain = [majorizing_vector(lam_r, lam_f, ell) for ell in levels]
+    for pad_r, pad_f in [(5, 0), (0, 5), (37, 200)]:
+        padded = [majorizing_vector(np.pad(lam_r, (0, pad_r)),
+                                    np.pad(lam_f, (0, pad_f)), ell)
+                  for ell in levels]
+        for a, b in zip(plain[1:-1], padded[1:-1]):
+            assert np.array_equal(a, b)
+        for a, b in (plain[0], padded[0]), (plain[-1], padded[-1]):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 def test_tiny_connecting_entry_is_condensed():
     # just past a window edge with a zero-padded base, the connecting
     # entry is near zero; raw ratio 5e6 would stall the series
-    lam_r = Spectrum(lambdas=np.array([4.0]), ambient_n=6, level=4.0)
-    lam_f = Spectrum(lambdas=np.array([5.0, 3.0, 2.0, 1.0]), ambient_n=6,
-                     level=11.0)
+    lam_r = np.array([4.0])
+    lam_f = np.array([5.0, 3.0, 2.0, 1.0])
     # (the raw vector is [5.0, 1e-6]; its tiny entry merges into the head)
     ell = 5.0 + 1e-6
     vec = majorizing_vector(lam_r, lam_f, ell)
-    assert vec.lambdas.tolist() == [5.0 + 1e-6]
-    assert vec.level == pytest.approx(ell, abs=1e-12)
+    assert vec.tolist() == [5.0 + 1e-6]
+    assert vec.sum() == pytest.approx(ell, abs=1e-12)
     assert majorizes(vec, [5.0, 1e-6], tol=1e-12)
     c = cmax(lam_r, lam_f, ell, 0.05)
     assert c >= WeightedChiSq([5.0]).quantile(0.95)
@@ -135,13 +159,13 @@ def test_majorizing_vector_level_and_feasibility():
     F = active_universe(stats)
     lam_r = provider.spectrum(F[:2])
     lam_f = provider.spectrum(F)
-    mid = 0.5 * (lam_r.level + lam_f.level)
+    mid = 0.5 * (lam_r.sum() + lam_f.sum())
     vec = majorizing_vector(lam_r, lam_f, mid)
-    assert vec.level == pytest.approx(mid, rel=1e-9)
+    assert vec.sum() == pytest.approx(mid, rel=1e-9)
     with pytest.raises(InfeasibleLevelError):
-        majorizing_vector(lam_r, lam_f, lam_r.level * 0.5)
+        majorizing_vector(lam_r, lam_f, lam_r.sum() * 0.5)
     with pytest.raises(InfeasibleLevelError):
-        majorizing_vector(lam_r, lam_f, lam_f.level * 1.5)
+        majorizing_vector(lam_r, lam_f, lam_f.sum() * 1.5)
     with pytest.raises(InfeasibleLevelError):
         majorizing_vector(lam_f, lam_r, mid)     # swapped: not nested
 
@@ -159,8 +183,8 @@ def test_majorizing_vector_dominates_every_superset_spectrum():
         for extra in itertools.combinations(comp, r):
             S = tuple(sorted(list(R) + list(extra)))
             lam_s = provider.spectrum(S)
-            vec = majorizing_vector(lam_r, lam_f, lam_s.level)
-            assert majorizes(vec, lam_s.lambdas, tol=1e-8), S
+            vec = majorizing_vector(lam_r, lam_f, lam_s.sum())
+            assert majorizes(vec, lam_s, tol=1e-8), S
 
 
 def test_cmax_endpoints_and_monotonicity():
@@ -170,13 +194,13 @@ def test_cmax_endpoints_and_monotonicity():
     lam_r = provider.spectrum(R)
     lam_f = provider.spectrum(F)
     alpha = 0.05
-    c_base = cmax(lam_r, lam_f, lam_r.level, alpha)
-    c_top = cmax(lam_r, lam_f, lam_f.level, alpha)
+    c_base = cmax(lam_r, lam_f, lam_r.sum(), alpha)
+    c_top = cmax(lam_r, lam_f, lam_f.sum(), alpha)
     assert c_base == pytest.approx(WeightedChiSq(lam_r).quantile(0.95),
                                    rel=1e-8)
     assert c_top == pytest.approx(WeightedChiSq(lam_f).quantile(0.95),
                                   rel=1e-8)
-    grid = np.linspace(lam_r.level, lam_f.level, 40)
+    grid = np.linspace(lam_r.sum(), lam_f.sum(), 40)
     vals = [cmax(lam_r, lam_f, l, alpha) for l in grid]
     assert np.all(np.diff(vals) >= -1e-8)
 
@@ -192,7 +216,7 @@ def test_cmax_bounds_exact_critical_values():
         for extra in itertools.combinations(comp, r):
             S = tuple(sorted(list(R) + list(extra)))
             exact_c = provider.dist(S).quantile(0.95)
-            bound = cmax(lam_r, lam_f, provider.spectrum(S).level, 0.05)
+            bound = cmax(lam_r, lam_f, provider.spectrum(S).sum(), 0.05)
             assert bound >= exact_c - 1e-7, S
 
 
@@ -249,7 +273,7 @@ def test_probe_square_sums_match_the_spectra(n, m):
     sums = ctgt.shortcut.staircase_square_sums(curve, provider)
     assert sums.shape == (len(curve.order) + 1,)
     for k, got in enumerate(sums):
-        lam = provider.spectrum(curve.staircase(k)).lambdas
+        lam = provider.spectrum(curve.staircase(k))
         assert got == pytest.approx(np.sum(lam ** 2), rel=1e-9)
     # with m > n the larger staircase sets take the n x n spectrum branch
     sizes = [len(curve.staircase(k)) for k in range(sums.size)]
@@ -347,13 +371,13 @@ def test_curve_table_rows():
     lam_r = provider.spectrum(R)
     lam_f = provider.spectrum(F)
     assert first["kind"] == "grid"
-    assert first["level"] == pytest.approx(lam_r.level, rel=1e-9)
+    assert first["level"] == pytest.approx(lam_r.sum(), rel=1e-9)
     assert first["gmin"] == pytest.approx(float(stats.g[list(R)].sum()),
                                           rel=1e-9)
     assert first["cmax"] == pytest.approx(provider.dist(R).quantile(0.95),
                                           rel=1e-8)
     assert last["kind"] == "exact"
-    assert last["level"] == pytest.approx(lam_f.level, rel=1e-9)
+    assert last["level"] == pytest.approx(lam_f.sum(), rel=1e-9)
     assert last["members"] == F
     grid_rows = [r for r in rows if r["kind"] == "grid"]
     gmin_vals = [r["gmin"] for r in grid_rows]
