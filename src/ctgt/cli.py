@@ -21,7 +21,6 @@ from .driver import DEFAULT_CAP, alpha0_survey, full_closed_test, globaltest
 from .linmodel import SpectrumProvider, feature_stats, fit_null
 from .shortcut import curve_table
 from .simulate import fwer_simulation
-from .wchi2 import DEFAULT_TRUNC_TOL
 
 CAVEAT = ("# note: decisions rest on a conservative bound for superset null "
           "distributions; audit it on your data with the alpha0-check "
@@ -42,16 +41,12 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_args(p: argparse.ArgumentParser, budget: bool = True,
-                  trunc_tol: bool = True, workers: bool = False) -> None:
+                  workers: bool = False) -> None:
     p.add_argument("--alpha", type=float, default=0.05,
                    help="significance level, in (0, 0.5)")
     if budget:
         p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
                        dest="max_iter", help="iteration budget per tested set")
-    if trunc_tol:
-        p.add_argument("--trunc-tol", type=float, default=DEFAULT_TRUNC_TOL,
-                       dest="trunc_tol",
-                       help="series truncation tolerance, in (0, 1)")
     if workers:
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes; each costs about half a "
@@ -102,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest complement size to enumerate")
 
     p = sub.add_parser("simulate", help="estimate error rates on drawn data")
-    _add_run_args(p, trunc_tol=False, workers=True)
+    _add_run_args(p, workers=True)
     p.add_argument("--n", type=int, default=50, help="samples per replicate")
     p.add_argument("--m", type=int, default=20, help="features per replicate")
     p.add_argument("--n-pathways", type=int, default=30, dest="n_pathways",
-                   help="random sets per replicate")
+                   help="random sets per replicate, at least 1")
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--effect", type=float, default=0.0,
                    help="log-odds signal size; 0 gives a global null")
@@ -148,7 +143,7 @@ def _load(args):
                                 normalization=args.normalize)
     null = fit_null(data)
     stats = feature_stats(data, null)
-    provider = SpectrumProvider(data, null, trunc_tol=args.trunc_tol)
+    provider = SpectrumProvider(data, null)
     return data, null, stats, provider
 
 
@@ -410,13 +405,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help, 2 on misuse
+        return 1 if exc.code else 0
     if not 0.0 < args.alpha < 0.5:
         print(f"error: --alpha must be in (0, 0.5), got {args.alpha}",
-              file=sys.stderr)
-        return 1
-    if "trunc_tol" in args and not 0.0 < args.trunc_tol < 1.0:
-        print(f"error: --trunc-tol must be in (0, 1), got {args.trunc_tol}",
               file=sys.stderr)
         return 1
     if "max_iter" in args and args.max_iter < 1:

@@ -139,8 +139,7 @@ def alpha0_survey(stats: FeatureStats, provider: SpectrumProvider,
             lam_sup = provider.spectrum(sup)
             lvl = float(lam_sup.sum())
             major = majorizing_vector(lam_base, lam_full, lvl)
-            a0 = alpha0_diagnostic(lam_sup, major,
-                                   trunc_tol=provider.trunc_tol)
+            a0 = alpha0_diagnostic(lam_sup, major)
             records.append(AlphaZeroRecord(base=base, superset=sup,
                                            level=lvl, alpha0=a0))
     return records

@@ -296,11 +296,9 @@ class SpectrumProvider:
     give each worker process its own copy.
     """
 
-    def __init__(self, dataset: Dataset, null: NullModel,
-                 trunc_tol: float = wchi2.DEFAULT_TRUNC_TOL):
+    def __init__(self, dataset: Dataset, null: NullModel):
         self.dataset = dataset
         self.null = null
-        self.trunc_tol = float(trunc_tol)
         # key -> (spectrum, distribution or None until first requested)
         self._cache: dict[frozenset, tuple] = {}
 
@@ -327,6 +325,6 @@ class SpectrumProvider:
         lam = self.spectrum(key)          # stores the entry if it is new
         hit = self._cache[key][1]
         if hit is None:
-            hit = wchi2.WeightedChiSq(lam, trunc_tol=self.trunc_tol)
+            hit = wchi2.WeightedChiSq(lam)
             self._cache[key] = (lam, hit)
         return hit

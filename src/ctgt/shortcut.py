@@ -36,7 +36,7 @@ from scipy import special
 
 from .linmodel import (FeatureStats, SpectrumProvider, _check_index_set,
                        weighted_gram)
-from .wchi2 import (DEFAULT_TRUNC_TOL, WeightedChiSq, chernoff_tail_bound,
+from .wchi2 import (TRUNC_TOL, WeightedChiSq, chernoff_tail_bound,
                     condense_weights, padded_pair)
 
 REJECT = "reject"
@@ -51,9 +51,6 @@ CROSS = "cross"
 CROSSING_STEP = 1e-4
 # relative rounding allowance on a computed tail bound
 BOUND_REL_SLACK = 1e-9
-# floor of the absolute cdf error allowed for beside trunc_tol: the
-# series' rounding, about 1e-13
-CDF_ROUNDING = 1e-12
 # majorizing-vector entries below this fraction of the largest get merged;
 # caps the weight ratio the mixture series must absorb
 CONDENSE_REL_TOL = 5e-3
@@ -292,12 +289,12 @@ def majorizing_vector(lambda_R: np.ndarray, lambda_F: np.ndarray,
 
 
 def cmax(lambda_R: np.ndarray, lambda_F: np.ndarray, ell: float,
-         alpha: float, trunc_tol: float = DEFAULT_TRUNC_TOL) -> float:
+         alpha: float) -> float:
     """Critical-value upper envelope at level `ell`: the (1 - alpha)-quantile
     of the majorizing vector's distribution."""
     _alpha_checked(alpha)
     vec = majorizing_vector(lambda_R, lambda_F, ell)
-    return WeightedChiSq(vec, trunc_tol=trunc_tol).quantile(1.0 - alpha)
+    return WeightedChiSq(vec).quantile(1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -365,10 +362,10 @@ class ExactTester:
     whose inputs need no eigendecomposition: the level L is the weight
     sum, S2 = sum(lambda^2) the squared Frobenius norm of the set's Gram
     matrix, and M = min(sqrt(S2), largest absolute row sum) bounds the
-    largest eigenvalue.  The computed cdf lies at most trunc_tol plus
-    rounding below the true one, so when bound + 2 * trunc_tol <= alpha
-    (the bound inflated by BOUND_REL_SLACK, trunc_tol floored at
-    CDF_ROUNDING) the series would pass the set too, and `reject`
+    largest eigenvalue.  The computed cdf lies at most wchi2.TRUNC_TOL
+    below the true one (TRUNC_TOL exceeds the series' rounding), so when
+    bound + 2 * TRUNC_TOL <= alpha (the bound inflated by
+    BOUND_REL_SLACK) the series would pass the set too, and `reject`
     returns True without it.  Otherwise the series decides, as before.
     The Gram matrix is built only when the equal-weights bound, the
     smallest the bound can be for |S| weights summing to L, passes; for
@@ -380,8 +377,6 @@ class ExactTester:
         self._stats = stats
         self._provider = provider
         self._alpha = alpha
-        # twice the computed cdf's largest error below the true one
-        self._cdf_slack = 2.0 * max(provider.trunc_tol, CDF_ROUNDING)
         self.n_tests = 0
         self.n_by_bound = 0
 
@@ -391,7 +386,8 @@ class ExactTester:
     def _bound_passes(self, level: float, sq_sum: float, lam_bound: float,
                       t: float) -> bool:
         bound = chernoff_tail_bound(level, sq_sum, lam_bound, t)
-        return (bound * (1.0 + BOUND_REL_SLACK) + self._cdf_slack
+        # twice the computed cdf's largest error below the true one
+        return (bound * (1.0 + BOUND_REL_SLACK) + 2.0 * TRUNC_TOL
                 <= self._alpha)
 
     def _decided_by_bound(self, S, t: float) -> bool:
@@ -493,7 +489,7 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
     def envelope(ell: float) -> float:
         if ell == curve.top_level:
             return c_top
-        return cmax(lam_base, lam_top, ell, alpha, provider.trunc_tol)
+        return cmax(lam_base, lam_top, ell, alpha)
 
     outcome = crossing_test(curve, envelope)
     if outcome.kind == ABOVE:
@@ -533,8 +529,7 @@ def curve_table(stats: FeatureStats, provider: SpectrumProvider, R, F,
         curve.levels)))
     rows = [{"kind": "grid", "level": float(l),
              "gmin": float(curve.evaluate(l)),
-             "cmax": float(cmax(lam_base, lam_top, l, alpha,
-                                provider.trunc_tol))}
+             "cmax": float(cmax(lam_base, lam_top, l, alpha))}
             for l in grid]
     for k in range(len(curve.order) + 1):
         members = curve.staircase(k)

@@ -26,14 +26,14 @@ two above the Cauchy bound
 
     sum_{k>=n} a_k <= A(rho) rho^(-n) rho / (rho - 1),   1 < rho < 1/max(r),
 
-minimised over a grid of rho, at eps = ALIAS_FRACTION * trunc_tol.  The
+minimised over a grid of rho, at eps = ALIAS_FRACTION * TRUNC_TOL.  The
 series is cut at the first K whose accumulated mass reaches
-1 - trunc_tol; truncation lowers the cdf by at most trunc_tol.  Rounding
+1 - TRUNC_TOL; truncation lowers the cdf by at most TRUNC_TOL.  Rounding
 in the FFTs and the exponential (about 1e-13 in the coefficients' L1
 norm, measured against the classical recursion
-a_k = (2k)^-1 sum_{j<k} g_{k-j} a_j) sits beside trunc_tol: up to
+a_k = (2k)^-1 sum_{j<k} g_{k-j} a_j) sits beside TRUNC_TOL: up to
 rounding, the computed cdf lies in
-[true cdf - trunc_tol, true cdf + ALIAS_FRACTION * trunc_tol].
+[true cdf - TRUNC_TOL, true cdf + ALIAS_FRACTION * TRUNC_TOL].
 
 Evaluating the cdf.  With x = t / beta, the chi-square ladder identities
 
@@ -58,10 +58,11 @@ _LN2 = float(np.log(2.0))
 # weights this small relative to the largest are dropped before the series
 WEIGHT_REL_TOL = 1e-12
 
-# default certified absolute cdf error (the CLI's --trunc-tol default)
-DEFAULT_TRUNC_TOL = 1e-12
+# certified absolute cdf error of every series; it exceeds the series'
+# own rounding (about 1e-13), so callers may treat it as the whole error
+TRUNC_TOL = 1e-12
 
-# bound on the coefficient mass the FFT may alias, as a fraction of trunc_tol
+# bound on the coefficient mass the FFT may alias, as a fraction of TRUNC_TOL
 ALIAS_FRACTION = 1e-3
 
 # grid of s = (1 - rho * max(r)) / (1 - max(r)) in (0, 1) for the tail bound
@@ -85,7 +86,7 @@ ALPHA0_ROOT_TOL = 1e-8
 
 
 class SeriesStallError(RuntimeError):
-    """Coefficient mass failed to reach 1 - trunc_tol within max_terms.
+    """Coefficient mass failed to reach 1 - TRUNC_TOL within max_terms.
 
     Signals an extreme weight ratio (the term count grows like
     28 * lambda_max / lambda_min); callers may raise max_terms.
@@ -177,20 +178,19 @@ class WeightedChiSq:
     lambdas : array-like
         Positive weights; entries below WEIGHT_REL_TOL times the largest
         are stripped.  Negative or non-finite entries raise ValueError.
-    trunc_tol : float
-        Certified absolute cdf error bound (default DEFAULT_TRUNC_TOL).
-        Truncation only drops nonnegative terms, and FFT aliasing adds at most
-        ALIAS_FRACTION * trunc_tol, so up to rounding (about 1e-13) the
-        computed cdf lies in [true cdf - trunc_tol, true cdf +
-        ALIAS_FRACTION * trunc_tol].
     max_terms : int
         Series length guard: SeriesStallError is raised exactly when the
-        accumulated mass cannot reach 1 - trunc_tol within max_terms
+        accumulated mass cannot reach 1 - TRUNC_TOL within max_terms
         terms.
+
+    The cdf error is certified to the module constant TRUNC_TOL.
+    Truncation only drops nonnegative terms, and FFT aliasing adds at most
+    ALIAS_FRACTION * TRUNC_TOL, so up to rounding (about 1e-13) the
+    computed cdf lies in [true cdf - TRUNC_TOL, true cdf +
+    ALIAS_FRACTION * TRUNC_TOL].
     """
 
-    def __init__(self, lambdas, trunc_tol: float = DEFAULT_TRUNC_TOL,
-                 max_terms: int = 100_000):
+    def __init__(self, lambdas, *, max_terms: int = 100_000):
         lam = _as_weights(lambdas)
         if lam.size == 0:
             raise ValueError("at least one weight required")
@@ -201,11 +201,8 @@ class WeightedChiSq:
         lam = lam[lam > WEIGHT_REL_TOL * lam[0]]
         if lam.size == 0:
             raise ValueError("all weights are zero")
-        if not 0 < trunc_tol < 1:
-            raise ValueError("trunc_tol must be in (0, 1)")
         self._lam = lam
         self._beta = float(lam[-1])
-        self._trunc_tol = float(trunc_tol)
         self._coeffs = self._build_coefficients(int(max_terms))
         self._lam.flags.writeable = False
         self._coeffs.flags.writeable = False
@@ -215,16 +212,12 @@ class WeightedChiSq:
         return self._lam
 
     @property
-    def trunc_tol(self) -> float:
-        return self._trunc_tol
-
-    @property
     def n_terms(self) -> int:
         return self._coeffs.size
 
     @property
     def mass(self) -> float:
-        """Accumulated coefficient mass (>= 1 - trunc_tol by construction).
+        """Accumulated coefficient mass (>= 1 - TRUNC_TOL by construction).
 
         Summed in order, as the truncation rule sums it."""
         return float(np.cumsum(self._coeffs)[-1])
@@ -233,12 +226,12 @@ class WeightedChiSq:
         lam, beta = self._lam, self._beta
         w = beta / lam                     # 1 - r_i, in (0, 1]
         log_a0 = 0.5 * float(np.sum(np.log(w)))
-        target = 1.0 - self._trunc_tol
+        target = 1.0 - TRUNC_TOL
         a0 = float(np.exp(log_a0))
         if a0 >= target:
             return np.array([a0])
         w = w[w < 1.0]                     # r_i = 0 adds nothing to g_k
-        need = _series_length(w, log_a0, ALIAS_FRACTION * self._trunc_tol)
+        need = _series_length(w, log_a0, ALIAS_FRACTION * TRUNC_TOL)
         # A series that may stall is first tried at about twice max_terms:
         # aliasing only adds mass, so if even the aliased mass falls short
         # of the target within max_terms, the series stalls.
@@ -251,7 +244,7 @@ class WeightedChiSq:
                 mass = float(a[:min(n, max_terms)].sum())
                 raise SeriesStallError(
                     f"residual coefficient mass {1.0 - mass:.3e} still above "
-                    f"trunc_tol {self._trunc_tol:.1e} after {max_terms} terms "
+                    f"the certified error {TRUNC_TOL:.1e} after {max_terms} terms "
                     f"(weight ratio {lam[0] / lam[-1]:.3e}); increase "
                     f"max_terms or condense the weights")
             if n >= need:
@@ -312,9 +305,9 @@ class WeightedChiSq:
         lies in [p, p + tol], or hi once lo and hi are adjacent floats.
         The result therefore never lies below the quantile of the
         computed cdf.  Since the computed cdf sits at
-        most trunc_tol below and ALIAS_FRACTION * trunc_tol above the
+        most TRUNC_TOL below and ALIAS_FRACTION * TRUNC_TOL above the
         true one (up to rounding), the true cdf there lies in
-        [p - ALIAS_FRACTION * trunc_tol, p + tol + trunc_tol].
+        [p - ALIAS_FRACTION * TRUNC_TOL, p + tol + TRUNC_TOL].
         """
         if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
@@ -424,8 +417,7 @@ def condense_weights(weights, reltol: float) -> np.ndarray:
     return np.sort(np.asarray(heap, dtype=float))[::-1]
 
 
-def alpha0_diagnostic(lambda_true, lambda_major, *,
-                      trunc_tol: float = DEFAULT_TRUNC_TOL) -> float:
+def alpha0_diagnostic(lambda_true, lambda_major) -> float:
     """Largest significance level at which the majorizing bound is valid.
 
     Scans cdf(major) - cdf(true) on a geometric grid of
@@ -456,14 +448,14 @@ def alpha0_diagnostic(lambda_true, lambda_major, *,
     if np.allclose(pad_t, pad_m, rtol=0.0, atol=1e-10 * scale):
         return 1.0
 
-    dist_t = WeightedChiSq(lam_t, trunc_tol=trunc_tol)
-    dist_m = WeightedChiSq(lam_m, trunc_tol=trunc_tol)
+    dist_t = WeightedChiSq(lam_t)
+    dist_m = WeightedChiSq(lam_m)
     lo = dist_t.quantile(0.5)
     hi = dist_t.quantile(1.0 - ALPHA0_UPPER_TAIL)
     grid = np.geomspace(lo, hi, ALPHA0_GRID_POINTS)
     diff = dist_m.cdf(grid) - dist_t.cdf(grid)
 
-    noise = 10.0 * max(dist_t.trunc_tol, dist_m.trunc_tol)
+    noise = 10.0 * TRUNC_TOL
     signs = np.where(diff > noise, 1, np.where(diff < -noise, -1, 0))
     changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if changes.size == 0:

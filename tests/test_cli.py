@@ -1,10 +1,14 @@
 """End-to-end command runs through main(argv) on temporary files."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ctgt
 from ctgt.cli import main
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def _write_dataset(path, seed=7, n=30, m=6, effect=1.5, n_signal=2):
@@ -60,15 +64,6 @@ def test_flag_validation_rejects_bad_values(tmp_path, capsys):
     capsys.readouterr()
     assert main(base + ["--max-iter", "0"]) == 1
     assert "--max-iter" in capsys.readouterr().err
-    # refused up front, not run with every set reported as an error row
-    _write_pathways(tmp_path / "p.tsv")
-    analyze = ["analyze", "--data", str(tmp_path / "d.csv"), "--response",
-               "y", "--pathways", str(tmp_path / "p.tsv")]
-    for bad in ("0", "1", "-0.5"):
-        for args in (base, analyze):
-            assert main(args + ["--trunc-tol", bad]) == 1
-            captured = capsys.readouterr()
-            assert "--trunc-tol" in captured.err and captured.out == ""
 
 
 def test_each_subcommand_accepts_only_the_flags_it_reads(tmp_path, capsys):
@@ -79,18 +74,22 @@ def test_each_subcommand_accepts_only_the_flags_it_reads(tmp_path, capsys):
               (["curves"] + one_set, "--workers"),
               (["curves"] + one_set, "--max-iter"),
               (["oracle"] + one_set, "--workers"),
-              (["simulate"], "--trunc-tol"),
               (["alpha0-check"] + data, "--workers"),
               (["alpha0-check"] + data, "--max-iter")]
-    # the crossing search's step is a constant, settable by no subcommand
-    unread += [(args, "--epsilon") for args in (
-        ["test"] + one_set, ["analyze"] + analyze, ["curves"] + one_set,
-        ["oracle"] + one_set, ["simulate"], ["alpha0-check"] + data)]
+    # the crossing search's step and the series' certified cdf error are
+    # constants, settable by no subcommand
+    unread += [(args, flag) for flag in ("--epsilon", "--trunc-tol")
+               for args in (["test"] + one_set, ["analyze"] + analyze,
+                            ["curves"] + one_set, ["oracle"] + one_set,
+                            ["simulate"], ["alpha0-check"] + data)]
+    # a usage error exits 1, as a data error does; 2 means unsure
     for args, flag in unread:
-        with pytest.raises(SystemExit) as exc:
-            main(args + [flag, "2"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(args + [flag, "2"]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ctgt")
     assert main(["simulate", "--workers", "0"]) == 1
     assert "--workers" in capsys.readouterr().err
     assert main(["analyze"] + analyze + ["--workers", "-3"]) == 1
@@ -251,6 +250,16 @@ def test_simulate_is_reproducible_under_a_seed(capsys):
     assert "replicates_completed = 5" in first
 
 
+@pytest.mark.parametrize("n_pathways", ["0", "-4"])
+def test_simulate_refuses_fewer_than_one_pathway(capsys, n_pathways):
+    code = main(["simulate", "--n-pathways", n_pathways, "--replicates", "3",
+                 "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: n_pathways must be at least 1\n"
+    assert "fwer_estimate" not in captured.out
+
+
 def test_simulate_refuses_a_nan_effect(capsys):
     code = main(["simulate", "--n", "25", "--m", "5", "--replicates", "3",
                  "--effect", "nan", "--seed", "1"])
@@ -269,3 +278,37 @@ def test_alpha0_check_reports_a_verdict(tmp_path, capsys):
     assert "supersets_audited = 6" in out
     assert "min_alpha0 = " in out
     assert "verdict = " in out
+
+
+# columns compared to a relative 1e-9: the last printed digit can follow
+# rounding in the spectrum (see README, critical_value_root)
+_GOLDEN_NUMERIC = ("level", "statistic", "critical_value_root")
+
+
+def test_analyze_report_matches_the_committed_golden_report(
+        capsys, monkeypatch):
+    monkeypatch.chdir(DATA_DIR)
+    code = main(["analyze", "--data", "toy100x5.csv", "--response", "y",
+                 "--pathways", "toy100x5_pathways.tsv", "--singletons"])
+    assert code == 0
+    got = capsys.readouterr().out.splitlines()
+    want = (DATA_DIR / "toy100x5_analyze.txt").read_text().splitlines()
+    assert len(got) == len(want)
+    header = None
+    for got_line, want_line in zip(got, want):
+        if want_line.startswith("#"):
+            assert got_line == want_line
+            continue
+        if header is None:
+            header = want_line.split("\t")
+            assert got_line == want_line
+            continue
+        got_cells = dict(zip(header, got_line.split("\t"), strict=True))
+        want_cells = dict(zip(header, want_line.split("\t"), strict=True))
+        for column, cell in want_cells.items():
+            if column in _GOLDEN_NUMERIC:
+                assert float(got_cells[column]) == pytest.approx(
+                    float(cell), rel=1e-9), (want_cells["set_name"], column)
+            else:
+                assert got_cells[column] == cell, (want_cells["set_name"],
+                                                   column)

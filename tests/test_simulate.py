@@ -33,3 +33,9 @@ def test_worker_processes_give_the_serial_summary():
     kwargs = dict(n=30, m=6, n_pathways=5, replicates=6, seed=1)
     assert fwer_simulation(**kwargs, workers=2) == \
            fwer_simulation(**kwargs, workers=1)
+
+
+@pytest.mark.parametrize("n_pathways", [0, -4])
+def test_fewer_than_one_pathway_is_refused(n_pathways):
+    with pytest.raises(ValueError, match="n_pathways must be at least 1"):
+        fwer_simulation(n_pathways=n_pathways, replicates=3, seed=1)

@@ -19,8 +19,8 @@ from scipy.stats import chi2
 import ctgt
 from ctgt import (MajorizationError, SeriesStallError, WeightedChiSq,
                   alpha0_diagnostic)
-from ctgt.wchi2 import (chernoff_tail_bound, condense_weights, majorizes,
-                        partial_sum_gap)
+from ctgt.wchi2 import (TRUNC_TOL, chernoff_tail_bound, condense_weights,
+                        majorizes, partial_sum_gap)
 
 # (weights, point, cdf) triples from the characteristic-function oracle
 CF_INVERSION_VALUES = [
@@ -96,7 +96,7 @@ def test_coefficients_match_the_recursion(lam):
     d = WeightedChiSq(lam)
     coeffs = d._coeffs
     assert coeffs.min() >= 0.0
-    assert 1.0 - d.trunc_tol <= d.mass <= 1.0 + 1e-9
+    assert 1.0 - TRUNC_TOL <= d.mass <= 1.0 + 1e-9
     assert _l1_distance(coeffs, recursion_coefficients(lam)) <= 1e-11
     for p in (0.5, 0.95, 0.99):
         c = d.cdf(d.quantile(p, tol=tol))
@@ -116,7 +116,7 @@ def test_chernoff_bound_covers_the_computed_tail(lam, excess, stretch):
     for lam_bound in (lam.max(), stretch * lam.max(), np.sqrt(sq_sum)):
         bound = chernoff_tail_bound(level, sq_sum, lam_bound, t)
         assert 0.0 <= bound <= 1.0
-        assert bound >= tail - 2.0 * d.trunc_tol, (lam_bound, bound, tail)
+        assert bound >= tail - 2.0 * TRUNC_TOL, (lam_bound, bound, tail)
     r = lam.size
     equal = chernoff_tail_bound(level, level * level / r, level / r, t)
     assert equal <= chernoff_tail_bound(level, sq_sum, lam.max(), t) * (
@@ -225,7 +225,7 @@ def test_series_coefficients_are_a_probability_vector():
         k = int(rng.integers(2, 8))
         lams = rng.uniform(0.05, 5.0, size=k)
         d = WeightedChiSq(lams)
-        assert d.mass >= 1.0 - d.trunc_tol
+        assert d.mass >= 1.0 - TRUNC_TOL
         assert d.mass <= 1.0 + 1e-9
 
 
