@@ -109,8 +109,8 @@ def alpha0_survey(stats: FeatureStats, provider: SpectrumProvider,
 
     Base sets hold between one feature and a quarter of the universe
     (never all of it); supersets are spread evenly across base sets
-    (remainder to the earlier ones).  Null distributions use the
-    provider's truncation tolerance.  Requires at least two active
+    (remainder to the earlier ones).  Null distributions carry the
+    certified cdf error wchi2.TRUNC_TOL.  Requires at least two active
     features.
     """
     universe = list(stats.active_indices)

@@ -17,10 +17,11 @@ single_step tests exactly the one staircase set a two-moment
 is a concrete non-rejection witness and no critical envelope is built.
 Otherwise, if the lower envelope stays above the upper one across the
 level range (located by a monotone fixed-point iteration), every
-superset test must reject and R is rejected.  If the curves cross, the
-remaining staircase sets are tested exactly: a failure among them is a
-witness; if all pass, the comparison is inconclusive (Unsure) and
-callers may branch (see bnb).
+superset test must reject and R is rejected; the iteration stops early
+once a probe at a breakpoint shows it can only cross.  If the curves
+cross, the remaining staircase sets are tested exactly: a failure among
+them is a witness; if all pass, the comparison is inconclusive (Unsure)
+and callers may branch (see bnb).
 
 The upper envelope is conservative only for significance levels below
 the pairwise validity threshold (see wchi2.alpha0_diagnostic); decisions
@@ -49,6 +50,11 @@ CROSS = "cross"
 # the crossing search stops once a step moves the level by no more than
 # this (absolute level units)
 CROSSING_STEP = 1e-4
+# a breakpoint probe stops the crossing search only when cmax there
+# clears the statistic curve by this relative margin; merging in the
+# majorizing vector lets cmax dip with rising level by up to 3.4e-5
+# relative (largest seen over 360 random curves, 300 levels each)
+PROBE_MARGIN = 1e-4
 # relative rounding allowance on a computed tail bound
 BOUND_REL_SLACK = 1e-9
 # majorizing-vector entries below this fraction of the largest get merged;
@@ -321,6 +327,26 @@ def crossing_test(curve: PiecewiseCurve, cmax_fn) -> CrossingOutcome:
     statistic (ABOVE: every superset must reject) or stops making
     progress of more than CROSSING_STEP per step (CROSS at that level).
 
+    Breakpoint probe.  Let the chain stand at level l after a step of d,
+    and let b be the highest breakpoint below l, at index j.  When one
+    more step of that size would not reach b (l - d > b), the search
+    evaluates `cmax_fn(b)` once; if it exceeds the curve there,
+    `curve.stats[j]`, by more than the relative PROBE_MARGIN, it stops
+    with CROSS at l.  The envelope is nondecreasing in the level (the
+    premise of ABOVE; the margin covers the merging wobble), so every
+    later critical value of the chain would also exceed the curve at b,
+    and inverse_gmin maps any value above the curve at b to a level
+    above b.  The chain could then never end ABOVE and would stall
+    somewhere in (b, l], which holds no breakpoint; the probe is skipped
+    when l sits exactly on an interior breakpoint.  single_step
+    therefore tests the same staircase sets after either stop.  A probe
+    that proves nothing is not folded into the running minimum, and
+    ABOVE still comes only from the chain.  Should the envelope dip by
+    more than the margin, an early CROSS only tests more staircase
+    sets: it can turn a rejection into UNSURE or find a genuine
+    witness, never reject wrongly.  Each breakpoint is probed at most
+    once, and `n_cmax_evals` counts probes too.
+
     Requires the caller to have verified base and top exact tests pass;
     an immediate ABOVE after one evaluation means the top critical value
     already sits at or below the base statistic.
@@ -330,13 +356,27 @@ def crossing_test(curve: PiecewiseCurve, cmax_fn) -> CrossingOutcome:
     level_before = np.inf
     c = cmax_fn(level_now)
     n = 1
+    probed = -1               # breakpoint probed last (levels only fall)
     max_steps = 10 * int(np.ceil((curve.top_level - curve.base_level)
                                  / CROSSING_STEP)) + 50
     for _ in range(max_steps):
         if c <= g_base:
             return CrossingOutcome(kind=ABOVE, level=level_now, n_cmax_evals=n)
-        if level_before - level_now <= CROSSING_STEP:
+        step = level_before - level_now
+        if step <= CROSSING_STEP:
             return CrossingOutcome(kind=CROSS, level=level_now, n_cmax_evals=n)
+        # the highest breakpoint strictly below the current level
+        j = int(np.searchsorted(curve.levels, level_now, side="left")) - 1
+        on_interior = (curve.levels[j + 1] == level_now
+                       and j + 1 < len(curve.order))
+        if (j != probed and level_now - step > curve.levels[j]
+                and not on_interior):
+            probed = j
+            n += 1
+            c_probe = cmax_fn(float(curve.levels[j]))
+            if c_probe > curve.stats[j] * (1.0 + PROBE_MARGIN):
+                return CrossingOutcome(kind=CROSS, level=level_now,
+                                       n_cmax_evals=n)
         # c > g_base here, so the target lies inside the curve's range
         level_before = level_now
         level_now = inverse_gmin(curve, min(c, curve.top_stat))
@@ -448,7 +488,15 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
 
     The crossing test's critical envelope is F's own exact critical
     value at F's level (`cmax` there condenses F's spectrum and is
-    looser) and one `cmax` call at every other level it visits.
+    looser) and one `cmax` call at every other level it visits.  When
+    the chain slows down, the search also evaluates `cmax` once at the
+    highest breakpoint below it.  A value there clearly above the curve
+    stops the search with CROSS at the current level: the plain chain
+    would have stalled between that breakpoint and the current level,
+    where no breakpoint lies, so the staircase tests below run on the
+    same sets in the same order and find the same first witness (see
+    crossing_test).  `n_cmax_evals` counts these probes as well as the
+    chain's `cmax` calls.
 
     REJECT and NOT_REJECT are final under closed testing at level alpha
     (assuming alpha is within the majorization validity range); UNSURE

@@ -11,7 +11,8 @@ from .bnb import (DEFAULT_MAX_ITERATIONS, REJECT, _ordered_map,
                   iterative_shortcut)
 from .linmodel import (Dataset, RankDeficientError, SpectrumProvider,
                        feature_stats, fit_null)
-from .shortcut import InfeasibleLevelError, TargetOutOfRangeError
+from .shortcut import (ExactTester, InfeasibleLevelError,
+                       TargetOutOfRangeError, _alpha_checked)
 
 MAX_REDRAWS = 100
 # random_index_sets draws sizes from this up to half the features
@@ -104,14 +105,18 @@ def _one_replicate(n, m, n_pathways, effect, n_signal, alpha,
         null = fit_null(data)
         stats = feature_stats(data, null)
         provider = SpectrumProvider(data, null)
-        sets = random_index_sets(m, n_pathways, rng)
         universe = stats.active_indices
+        universe_rejects = ExactTester(stats, provider, alpha).reject(universe)
+        if not universe_rejects and effect == 0.0:
+            # every set is a true null and none is rejected
+            return 0, n_pathways, 0
+        sets = random_index_sets(m, n_pathways, rng)
         signal = set(range(n_signal)) if effect != 0.0 else set()
         false_hits = 0
         null_sets = 0
         true_hits = 0
         for members in sets:
-            rejected = iterative_shortcut(
+            rejected = universe_rejects and iterative_shortcut(
                 stats, provider, members, universe, alpha,
                 max_iterations=max_iterations).decision == REJECT
             if signal & set(members):
@@ -140,14 +145,24 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
     independent spawned seeds, in worker processes when `workers` > 1, so
     results are reproducible for a given seed regardless of worker count.
 
+    The universe (every active feature) is exact-tested once per
+    replicate, before the sets are drawn.  When it fails, closed testing
+    rejects none of its subsets, so no set is decided: the replicate
+    rejects nothing, and under the global null it does not even draw its
+    sets, which are its last draw, so the random stream is unchanged.
+
     A replicate counts in `n_failed` instead of the estimate when drawing
-    its data, fitting its null or deciding any one of its sets raises
-    RuntimeError (SeriesStallError, NumericalBreakdownError and a failed
-    two-class redraw among them), RankDeficientError, InfeasibleLevelError
-    or TargetOutOfRangeError.  Any other ValueError is a caller error,
-    such as an alpha outside (0, 0.5), and propagates; fewer than one
-    replicate or pathway is refused before any replicate runs.
+    its data, fitting its null, testing its universe or deciding any one
+    of its sets raises RuntimeError (SeriesStallError,
+    NumericalBreakdownError and a failed two-class redraw among them),
+    RankDeficientError, InfeasibleLevelError or TargetOutOfRangeError.
+    Any other ValueError is a caller error, such as an alpha outside
+    (0, 0.5), and propagates; fewer than one replicate or pathway is
+    refused before any replicate runs.  A run in which no completed
+    replicate drew a true-null set (every set overlaps the signal) has
+    no FWER to estimate and raises ValueError.
     """
+    alpha = _alpha_checked(alpha)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     if n_pathways < 1:
@@ -160,6 +175,11 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
     n_failed = replicates - len(ok)
     if not ok:
         raise RuntimeError("every replicate failed")
+    null_sets = sum(s for _, s, _ in ok)
+    if null_sets == 0:
+        raise ValueError("no replicate drew a true-null set (every set "
+                         "overlaps the signal features), so the FWER is "
+                         "undefined")
     any_false = sum(1 for hits, _, _ in ok if hits > 0)
     est = any_false / len(ok)
     se = float(np.sqrt(est * (1.0 - est) / len(ok)))
@@ -167,6 +187,6 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
                        n_any_false_rejection=any_false, fwer_estimate=est,
                        std_error=se,
                        total_null_rejections=sum(h for h, _, _ in ok),
-                       total_null_sets=sum(s for _, s, _ in ok),
+                       total_null_sets=null_sets,
                        avg_true_rejections=sum(t for _, _, t in ok) / len(ok),
                        alpha=alpha, effect=effect)

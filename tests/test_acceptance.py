@@ -1,6 +1,6 @@
-"""Release acceptance suite: nine end-to-end criteria, one test each.
+"""Release acceptance suite: ten end-to-end criteria, one test each.
 
-Every test prints a single `[acceptance k/9] name: PASS|FAIL` line before
+Every test prints a single `[acceptance k/10] name: PASS|FAIL` line before
 asserting, so a verbose pytest run doubles as the acceptance report.  The
 checks here are deliberately heavier than the unit suites; the whole file
 takes tens of minutes, dominated by the error-rate simulation and the
@@ -29,8 +29,8 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def _report(num, name, ok, detail=""):
     tail = f" ({detail})" if detail else ""
-    print(f"[acceptance {num}/9] {name}: {'PASS' if ok else 'FAIL'}{tail}")
-    assert ok, f"acceptance {num}/9 {name} failed{tail}"
+    print(f"[acceptance {num}/10] {name}: {'PASS' if ok else 'FAIL'}{tail}")
+    assert ok, f"acceptance {num}/10 {name} failed{tail}"
 
 
 # --- 1: the iterative shortcut agrees with exhaustive closed testing ----
@@ -309,3 +309,20 @@ def test_criterion_9_reference_instance_patterns():
             pattern_a and pattern_b and pattern_c,
             f"walk evals {walk.n_cmax_evals}, witness {blocked.witness}, "
             f"refinement iterations {refined.iterations_used}")
+
+
+# --- 10: strong control: the error rate at a partial null ----------------
+
+def test_criterion_10_family_wise_error_rate_under_partial_null():
+    # three signal features: sets that overlap them may be rejected, and a
+    # rejection of any other set is a family-wise error
+    summary = ctgt.fwer_simulation(n=50, m=20, n_pathways=30,
+                                   replicates=300, effect=1.5, n_signal=3,
+                                   alpha=ALPHA, seed=321, workers=2)
+    # 0.075 is alpha + 2 binomial standard errors at 300 replicates
+    ok = (summary.n_failed == 0 and summary.replicates == 300
+          and summary.fwer_estimate <= 0.075)
+    _report(10, "family-wise error rate stays near alpha at a partial null",
+            ok, f"FWER {summary.fwer_estimate:.4f} "
+            f"+/- {summary.std_error:.4f}, {summary.n_failed} failed, "
+            f"{summary.avg_true_rejections:.2f} true rejections per replicate")

@@ -268,6 +268,16 @@ def test_simulate_refuses_a_nan_effect(capsys):
     assert "effect must be a number, got nan" in err
 
 
+def test_simulate_refuses_a_run_without_a_true_null_set(capsys):
+    code = main(["simulate", "--n", "30", "--m", "4", "--n-signal", "4",
+                 "--effect", "1", "--n-pathways", "3", "--replicates", "3",
+                 "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "no replicate drew a true-null set" in captured.err
+    assert "fwer_estimate" not in captured.out
+
+
 def test_alpha0_check_reports_a_verdict(tmp_path, capsys):
     _write_dataset(tmp_path / "d.csv")
     code = main(["alpha0-check", "--data", str(tmp_path / "d.csv"),

@@ -320,6 +320,141 @@ def test_crossing_flat_bound_finds_the_crossing_level():
     assert out.level == pytest.approx(3.0, abs=1e-5)
 
 
+def _strict_crossing(curve, cmax_fn):
+    """The plain fixed-point chain with no breakpoint probe:
+    (kind, stop level, evaluations)."""
+    level_now, level_before = curve.top_level, np.inf
+    c = cmax_fn(level_now)
+    n = 1
+    while True:
+        if c <= curve.base_stat:
+            return "above", level_now, n
+        if level_before - level_now <= ctgt.shortcut.CROSSING_STEP:
+            return "cross", level_now, n
+        level_before = level_now
+        level_now = inverse_gmin(curve, min(c, curve.top_stat))
+        c = min(c, cmax_fn(level_now))
+        n += 1
+
+
+def _staircase_tested(curve, stop_level):
+    """How many interior staircase sets single_step tests after a CROSS."""
+    return sum(1 for k in range(1, len(curve.order))
+               if curve.levels[k] <= stop_level)
+
+
+def _hand_curve():
+    # levels 1..5, statistics 2, 3, 5, 8, 12, slopes 1, 2, 3, 4
+    stats = _hand_stats([2.0, 1.0, 2.0, 3.0, 4.0], [1.0] * 5)
+    return gmin_curve(stats, (0,), (0, 1, 2, 3, 4))
+
+
+def _probed_crossing(curve, cmax_fn):
+    """crossing_test beside the strict chain: (outcome, strict result,
+    probe levels), a probe being a call the strict chain does not make."""
+    strict_calls, calls = [], []
+    strict = _strict_crossing(
+        curve, lambda l: strict_calls.append(l) or cmax_fn(l))
+    out = crossing_test(curve, lambda l: calls.append(l) or cmax_fn(l))
+    probes, i = [], 0
+    for l in calls:
+        if i < len(strict_calls) and l == strict_calls[i]:
+            i += 1
+        else:
+            probes.append(l)
+    return out, strict, probes
+
+
+def test_crossing_probe_stops_a_slow_chain_early():
+    curve = _hand_curve()
+
+    def slow_cmax(l):
+        # meets the last segment (slope 4) at level 4.5, where the chain
+        # contracts by only 3.9 / 4 per step
+        return -7.55 + 3.9 * l
+
+    out, (kind, stop, n_strict), probes = _probed_crossing(curve, slow_cmax)
+    assert kind == out.kind == "cross"
+    assert stop == pytest.approx(4.5, abs=1e-2)
+    assert out.n_cmax_evals == 3              # top, one step, one probe
+    assert n_strict > 100
+    assert probes == [4.0]
+    assert (_staircase_tested(curve, out.level)
+            == _staircase_tested(curve, stop) == 3)
+
+
+def test_crossing_probe_waits_while_the_chain_sits_on_a_breakpoint():
+    # the chain visits 5, 4.5 and then exactly 4, an interior breakpoint,
+    # and stalls near 3.21; a CROSS at 4 would also test staircase set 3
+    curve = _hand_curve()
+
+    def bent_cmax(l):
+        return float(np.interp(l, [3.0, 4.0, 4.5, 5.0], [5.5, 6.1, 8.0, 10.0]))
+
+    out, (kind, stop, _), probes = _probed_crossing(curve, bent_cmax)
+    assert kind == out.kind == "cross"
+    assert stop == pytest.approx(3.0 + 0.5 / 2.4, abs=1e-3)
+    assert 3.0 < out.level < 4.0
+    assert probes == [3.0]
+    assert (_staircase_tested(curve, out.level)
+            == _staircase_tested(curve, stop) == 2)
+
+
+def test_crossing_probe_within_the_margin_does_not_stop():
+    # cmax clears the curve at breakpoint 4 by less than PROBE_MARGIN,
+    # so the probe proves nothing and the chain runs on
+    curve = _hand_curve()
+    lift = 1.0 + 0.5 * ctgt.shortcut.PROBE_MARGIN
+
+    def slow_cmax(l):
+        return 8.0 * lift + 3.9 * (l - 4.0)
+
+    out, (kind, stop, n_strict), probes = _probed_crossing(curve, slow_cmax)
+    assert kind == out.kind == "cross"
+    assert probes == [4.0]
+    assert out.level == stop
+    assert out.n_cmax_evals == n_strict + 1
+
+
+def test_crossing_probe_below_the_curve_still_ends_above():
+    curve = _hand_curve()
+
+    def low_cmax(l):
+        return curve.evaluate(l) - 0.3       # below the curve everywhere
+
+    out, (kind, _, n_strict), probes = _probed_crossing(curve, low_cmax)
+    assert kind == out.kind == "above"
+    assert probes and len(set(probes)) == len(probes)  # each at most once
+    assert set(probes) <= set(curve.levels[:-1])
+    assert out.n_cmax_evals == n_strict + len(probes)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10_000), m=st.integers(6, 16),
+       effect=st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5]))
+def test_crossing_probe_matches_the_strict_chain(seed, m, effect):
+    # every crossing search single_step runs, re-run without the probe
+    real = ctgt.shortcut.crossing_test
+
+    def both(curve, cmax_fn):
+        out = real(curve, cmax_fn)
+        kind, stop, _ = _strict_crossing(curve, cmax_fn)
+        assert out.kind == kind
+        if kind == "cross":
+            assert (_staircase_tested(curve, out.level)
+                    == _staircase_tested(curve, stop))
+        return out
+
+    data, null, stats, provider = make_instance(seed=seed, n=40, m=m,
+                                                effect=effect, n_signal=2)
+    F = active_universe(stats)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ctgt.shortcut, "crossing_test", both)
+        for R in [(j,) for j in F] + [F[:2]]:   # F[:2] is the signal
+            ctgt.iterative_shortcut(stats, provider, R, F, 0.05,
+                                    max_iterations=4)
+
+
 def test_single_step_result_invariants():
     data, null, stats, provider = make_instance(seed=149, n=30, m=8,
                                                 effect=1.0, n_signal=2)
