@@ -14,7 +14,7 @@ from .io import (DataFormatError, DuplicatePathwayError, Log2DomainError,
 from .linmodel import (Dataset, FeatureStats, NullModel,
                        NumericalBreakdownError, RankDeficientError,
                        SeparationWarning, SpectrumProvider, feature_stats,
-                       fit_null, spectrum)
+                       fit_null)
 from .shortcut import (ExactTester, InfeasibleLevelError, SingleStepResult,
                        TargetOutOfRangeError, cmax, crossing_test, curve_table,
                        gmin_curve, level, majorizing_vector, single_step)
@@ -41,5 +41,5 @@ __all__ = [
     "gmin_curve", "iterative_shortcut", "level", "load_dataset",
     "load_pathways", "logistic_dataset", "majorizing_vector",
     "random_index_sets", "read_table", "render_report", "resolve_pathways",
-    "single_step", "spectrum", "write_pathways", "write_results",
+    "single_step", "write_pathways", "write_results",
 ]

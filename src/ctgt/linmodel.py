@@ -2,11 +2,13 @@
 
 The testing machinery never touches raw data directly.  A logistic
 regression of the response on the confounders alone yields fitted means
-and the plug-in diagonal covariance; the (unweighted) confounder
+and the plug-in diagonal covariance W; the W-weighted confounder
 projector turns feature columns into residualized columns; from those
-come per-feature statistics and weights, and the eigenvalue spectrum of
-any feature set's quadratic form.  Every derived object except the
-SpectrumProvider cache is immutable after construction.
+come per-feature score statistics and weights (Goeman et al., 2006; the
+null is asymptotic), and a SpectrumProvider serves every Gram matrix,
+each a block of one, and the spectrum of any feature set's quadratic
+form.  Every derived object except the SpectrumProvider cache is
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -117,9 +119,11 @@ class NullModel:
     """Fitted logistic null: means, plug-in variances, projector basis.
 
     mu_hat : (n,) fitted means, clamped into [1e-6, 1 - 1e-6]
-    sigma_diag : (n,) mu_hat * (1 - mu_hat)
-    H_basis : (n, p) orthonormal basis of the confounder column space
-    resid : (n,) response minus its confounder projection
+    sigma_diag : (n,) mu_hat * (1 - mu_hat), the diagonal of W
+    H_basis : (n, p) orthonormal basis of the column space of W^{1/2} Z
+    resid : (n,) response minus its fitted mean, y - mu_hat; orthogonal
+        to every confounder column (the score equations), up to the
+        clamping of mu_hat
     """
 
     mu_hat: np.ndarray
@@ -132,9 +136,16 @@ class NullModel:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def residualize(self, M: np.ndarray) -> np.ndarray:
-        """Project the confounder space out of the columns of M."""
+        """W^{-1/2} (I - Q Q^T) W^{1/2} M, Q = H_basis.
+
+        The result is W-orthogonal to every confounder column, so its
+        columns are the features as the score test sees them once the
+        confounders' effects are fitted; residualizing twice changes
+        nothing.
+        """
+        root = np.sqrt(self.sigma_diag)[:, None]
         Q = self.H_basis
-        return M - Q @ (Q.T @ M)
+        return M - Q @ (Q.T @ (root * M)) / root
 
 
 @dataclass(frozen=True)
@@ -174,7 +185,7 @@ def fit_null(dataset: Dataset) -> NullModel:
     iteration cap or produces means outside [1e-6, 1 - 1e-6].
     """
     Z, y = dataset.Z, dataset.y
-    Q, R = np.linalg.qr(Z)
+    R = np.linalg.qr(Z, mode="r")
     diag = np.abs(np.diag(R))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise RankDeficientError(
@@ -204,17 +215,19 @@ def fit_null(dataset: Dataset) -> NullModel:
             + "; proceeding with current fit",
             SeparationWarning, stacklevel=2)
     mu = np.clip(mu, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
-    resid = y - Q @ (Q.T @ y)
-    return NullModel(mu_hat=mu, sigma_diag=mu * (1.0 - mu), H_basis=Q, resid=resid)
+    sigma = mu * (1.0 - mu)
+    Q_w, _ = np.linalg.qr(np.sqrt(sigma)[:, None] * Z)
+    return NullModel(mu_hat=mu, sigma_diag=sigma, H_basis=Q_w, resid=y - mu)
 
 
 def feature_stats(dataset: Dataset, null: NullModel) -> FeatureStats:
     """Per-feature statistic increments and weights.
 
-    g_i is the squared inner product of feature i's residualized column
-    with the response residual; w_i is that column's sigma-weighted
-    squared norm.  Set-level statistics and levels are plain sums of
-    these over the member features.
+    g_i is the squared score of feature i, its inner product with the
+    response residual y - mu_hat; w_i is the sigma-weighted squared norm
+    of its residualized column, the score's null variance.  Set-level
+    statistics and levels are plain sums of these over the member
+    features.
     """
     X = dataset.X
     M = null.residualize(X)
@@ -238,43 +251,14 @@ def _check_index_set(R, n_features: int,
     return idx
 
 
-def weighted_gram(columns: np.ndarray, null: NullModel, idx) -> np.ndarray:
-    """r x r sigma-weighted Gram matrix of the residualized columns idx.
+def spectrum(form: np.ndarray) -> np.ndarray:
+    """Positive eigenvalues of a symmetric positive semidefinite matrix.
 
-    `columns` holds the residualized feature columns,
-    null.residualize(dataset.X).  Rows and columns follow the order of
-    idx, so the leading j x j block is the Gram matrix of the first j
-    columns.  Its eigenvalues are the set's spectrum (plus zeros), its
-    trace the set's level, and its squared Frobenius norm the spectrum's
-    sum of squares.
+    Eigenvalues within -1e-10*max of zero are clamped to zero; anything
+    below that raises NumericalBreakdownError.  Returns the strictly
+    positive eigenvalues, descending, as a read-only array.
     """
-    M = columns[:, list(idx)]
-    return M.T @ (null.sigma_diag[:, None] * M)
-
-
-def spectrum(dataset: Dataset, null: NullModel, R,
-             columns: np.ndarray | None = None) -> np.ndarray:
-    """Eigenvalue spectrum of the quadratic form for feature set R.
-
-    Computed from the residualized member columns, read from `columns`
-    (null.residualize(dataset.X), computed here when not given): their
-    r x r sigma-weighted Gram matrix when r <= n, the n x n form
-    otherwise; the two share their nonzero eigenvalues.  Eigenvalues
-    within -1e-10*max of zero are clamped to zero; anything below that
-    raises NumericalBreakdownError.  Returns the strictly positive
-    eigenvalues, descending, as a read-only array; their sum is the
-    set's level (its weight sum, by the trace identity).
-    """
-    idx = _check_index_set(R, dataset.n_features)
-    n = dataset.n_samples
-    if columns is None:
-        columns = null.residualize(dataset.X)
-    if len(idx) <= n:
-        G = weighted_gram(columns, null, idx)
-    else:
-        B = np.sqrt(null.sigma_diag)[:, None] * columns[:, list(idx)]
-        G = B @ B.T
-    vals = np.linalg.eigvalsh(G)
+    vals = np.linalg.eigvalsh(form)
     lam_max = float(vals.max(initial=0.0))
     neg_tol = EIG_CLAMP_REL_TOL * max(lam_max, 0.0)
     if vals.min(initial=0.0) < -neg_tol:
@@ -285,15 +269,18 @@ def spectrum(dataset: Dataset, null: NullModel, R,
 
 
 class SpectrumProvider:
-    """Caches per-set spectra and their null distributions.
+    """Caches the Gram matrix, per-set spectra and their null distributions.
 
-    The residualized feature columns are computed on first use and kept;
-    every spectrum and Gram matrix the provider serves comes from them.
-    One dict, keyed by frozenset of feature indices, holds each set's
-    spectrum and, once requested, its distribution.  It keeps at most
-    PROVIDER_CACHE_CAP entries; a new set beyond that drops the oldest.
-    A provider is used from one thread; batch functions with workers > 1
-    give each worker process its own copy.
+    On first use the provider forms the residualized feature columns M
+    and their sigma-weighted Gram matrix G = M^T W M, both read-only;
+    every Gram matrix ctgt uses is a block of G (`gram`).  A set's
+    spectrum is that of its block of G when r <= n, of the n x n form
+    W^{1/2} M_S M_S^T W^{1/2} otherwise; the two share their nonzero
+    eigenvalues.  One dict, keyed by frozenset of feature indices, holds
+    each set's spectrum and, once requested, its distribution.  It keeps
+    at most PROVIDER_CACHE_CAP entries; a new set beyond that drops the
+    oldest.  A provider is used from one thread; batch functions with
+    workers > 1 give each worker process its own copy.
     """
 
     def __init__(self, dataset: Dataset, null: NullModel):
@@ -303,18 +290,37 @@ class SpectrumProvider:
         self._cache: dict[frozenset, tuple] = {}
 
     @functools.cached_property
-    def columns(self) -> np.ndarray:
-        """The residualized feature columns, n x m, computed on first use."""
-        cols = self.null.residualize(self.dataset.X)
-        cols.flags.writeable = False
-        return cols
+    def _columns(self) -> np.ndarray:
+        M = self.null.residualize(self.dataset.X)
+        M.flags.writeable = False
+        return M
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        M = self._columns
+        G = M.T @ (self.null.sigma_diag[:, None] * M)
+        G.flags.writeable = False
+        return G
+
+    def gram(self, idx) -> np.ndarray:
+        """The Gram matrix of the features idx, rows in the order of idx,
+        so its leading j x j block is that of idx[:j].  Its trace is the
+        set's level, its squared Frobenius norm the spectrum's sum of
+        squares."""
+        return self._gram[np.ix_(idx, idx)]
 
     def spectrum(self, R) -> np.ndarray:
         key = frozenset(int(i) for i in R)
         hit = self._cache.get(key)
         if hit is None:
-            hit = (spectrum(self.dataset, self.null, key, self.columns),
-                   None)
+            idx = _check_index_set(key, self.dataset.n_features)
+            if len(idx) <= self.dataset.n_samples:
+                form = self.gram(idx)
+            else:
+                B = (np.sqrt(self.null.sigma_diag)[:, None]
+                     * self._columns[:, list(idx)])
+                form = B @ B.T
+            hit = (spectrum(form), None)
             if len(self._cache) >= PROVIDER_CACHE_CAP:
                 del self._cache[next(iter(self._cache))]
             self._cache[key] = hit

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .linmodel import (FeatureStats, SpectrumProvider, _check_index_set,
-                       weighted_gram)
+from .linmodel import FeatureStats, SpectrumProvider, _check_index_set
 from .wchi2 import (TRUNC_TOL, WeightedChiSq, chernoff_tail_bound,
                     condense_weights, padded_pair)
 
@@ -210,13 +209,12 @@ def staircase_square_sums(curve: PiecewiseCurve,
     """Sum of squared eigenvalues of every staircase set, k = 0..v.
 
     No eigendecomposition: a set's sum of squares is the squared
-    Frobenius norm of its Gram matrix (see linmodel.weighted_gram), and
+    Frobenius norm of its Gram matrix (SpectrumProvider.gram), and
     staircase set k's Gram matrix is the leading (|R| + k) block of the
     Gram matrix of R followed by `curve.order`, so one Gram matrix
     serves every k.
     """
-    G = weighted_gram(provider.columns, provider.null,
-                      curve.base + curve.order)
+    G = provider.gram(curve.base + curve.order)
     sq = G * G
     # row t adds its entries left of the diagonal twice (G is symmetric)
     block_sums = np.cumsum(2.0 * np.tril(sq, -1).sum(axis=1) + np.diag(sq))
@@ -401,13 +399,14 @@ class ExactTester:
     Chernoff bound on the tail at the statistic (wchi2.chernoff_tail_bound),
     whose inputs need no eigendecomposition: the level L is the weight
     sum, S2 = sum(lambda^2) the squared Frobenius norm of the set's Gram
-    matrix, and M = min(sqrt(S2), largest absolute row sum) bounds the
+    matrix (SpectrumProvider.gram, a block of one matrix the provider
+    keeps), and M = min(sqrt(S2), largest absolute row sum) bounds the
     largest eigenvalue.  The computed cdf lies at most wchi2.TRUNC_TOL
     below the true one (TRUNC_TOL exceeds the series' rounding), so when
     bound + 2 * TRUNC_TOL <= alpha (the bound inflated by
     BOUND_REL_SLACK) the series would pass the set too, and `reject`
     returns True without it.  Otherwise the series decides, as before.
-    The Gram matrix is built only when the equal-weights bound, the
+    The Gram block is read only when the equal-weights bound, the
     smallest the bound can be for |S| weights summing to L, passes; for
     t <= L the bound is 1 and never passes.
     """
@@ -435,7 +434,7 @@ class ExactTester:
         r = len(S)
         if not self._bound_passes(level, level * level / r, level / r, t):
             return False
-        G = weighted_gram(self._provider.columns, self._provider.null, S)
+        G = self._provider.gram(S)
         sq_sum = float(np.sum(G * G))
         lam_bound = min(np.sqrt(sq_sum), float(np.abs(G).sum(axis=1).max()))
         return self._bound_passes(level, sq_sum, lam_bound, t)

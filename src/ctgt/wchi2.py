@@ -58,6 +58,10 @@ _LN2 = float(np.log(2.0))
 # weights this small relative to the largest are dropped before the series
 WEIGHT_REL_TOL = 1e-12
 
+# longest series a distribution may keep; a longer one raises
+# SeriesStallError
+MAX_TERMS = 100_000
+
 # certified absolute cdf error of every series; it exceeds the series'
 # own rounding (about 1e-13), so callers may treat it as the whole error
 TRUNC_TOL = 1e-12
@@ -86,10 +90,10 @@ ALPHA0_ROOT_TOL = 1e-8
 
 
 class SeriesStallError(RuntimeError):
-    """Coefficient mass failed to reach 1 - TRUNC_TOL within max_terms.
+    """Coefficient mass failed to reach 1 - TRUNC_TOL within MAX_TERMS.
 
-    Signals an extreme weight ratio (the term count grows like
-    28 * lambda_max / lambda_min); callers may raise max_terms.
+    Signals an extreme weight ratio: the term count grows like
+    28 * lambda_max / lambda_min.
     """
 
 
@@ -178,10 +182,9 @@ class WeightedChiSq:
     lambdas : array-like
         Positive weights; entries below WEIGHT_REL_TOL times the largest
         are stripped.  Negative or non-finite entries raise ValueError.
-    max_terms : int
-        Series length guard: SeriesStallError is raised exactly when the
-        accumulated mass cannot reach 1 - TRUNC_TOL within max_terms
-        terms.
+
+    SeriesStallError is raised exactly when the accumulated mass cannot
+    reach 1 - TRUNC_TOL within MAX_TERMS terms.
 
     The cdf error is certified to the module constant TRUNC_TOL.
     Truncation only drops nonnegative terms, and FFT aliasing adds at most
@@ -190,7 +193,7 @@ class WeightedChiSq:
     ALIAS_FRACTION * TRUNC_TOL].
     """
 
-    def __init__(self, lambdas, *, max_terms: int = 100_000):
+    def __init__(self, lambdas):
         lam = _as_weights(lambdas)
         if lam.size == 0:
             raise ValueError("at least one weight required")
@@ -203,7 +206,7 @@ class WeightedChiSq:
             raise ValueError("all weights are zero")
         self._lam = lam
         self._beta = float(lam[-1])
-        self._coeffs = self._build_coefficients(int(max_terms))
+        self._coeffs = self._build_coefficients()
         self._lam.flags.writeable = False
         self._coeffs.flags.writeable = False
 
@@ -222,7 +225,7 @@ class WeightedChiSq:
         Summed in order, as the truncation rule sums it."""
         return float(np.cumsum(self._coeffs)[-1])
 
-    def _build_coefficients(self, max_terms: int) -> np.ndarray:
+    def _build_coefficients(self) -> np.ndarray:
         lam, beta = self._lam, self._beta
         w = beta / lam                     # 1 - r_i, in (0, 1]
         log_a0 = 0.5 * float(np.sum(np.log(w)))
@@ -232,21 +235,21 @@ class WeightedChiSq:
             return np.array([a0])
         w = w[w < 1.0]                     # r_i = 0 adds nothing to g_k
         need = _series_length(w, log_a0, ALIAS_FRACTION * TRUNC_TOL)
-        # A series that may stall is first tried at about twice max_terms:
+        # A series that may stall is first tried at about twice MAX_TERMS:
         # aliasing only adds mass, so if even the aliased mass falls short
-        # of the target within max_terms, the series stalls.
-        n = _power_of_two(min(need, 2.0 * max_terms))
+        # of the target within MAX_TERMS, the series stalls.
+        n = _power_of_two(min(need, 2.0 * MAX_TERMS))
         while True:
             a = _aliased_series(1.0 - w, log_a0, n)
             np.maximum(a, 0.0, out=a)      # rounding guard; exact values >= 0
             last = int(np.searchsorted(np.cumsum(a), target))
-            if last >= min(n, max_terms):
-                mass = float(a[:min(n, max_terms)].sum())
+            if last >= min(n, MAX_TERMS):
+                mass = float(a[:min(n, MAX_TERMS)].sum())
                 raise SeriesStallError(
                     f"residual coefficient mass {1.0 - mass:.3e} still above "
-                    f"the certified error {TRUNC_TOL:.1e} after {max_terms} terms "
-                    f"(weight ratio {lam[0] / lam[-1]:.3e}); increase "
-                    f"max_terms or condense the weights")
+                    f"the certified error {TRUNC_TOL:.1e} after {MAX_TERMS} terms "
+                    f"(weight ratio {lam[0] / lam[-1]:.3e}); the set's "
+                    f"spectrum is too ill-conditioned for the series")
             if n >= need:
                 break
             n = _power_of_two(need)        # too short to bound the aliasing

@@ -8,7 +8,8 @@ from scipy.optimize import minimize
 
 import ctgt
 from ctgt import (Dataset, RankDeficientError, SeparationWarning,
-                  feature_stats, fit_null, spectrum)
+                  feature_stats, fit_null)
+from ctgt.linmodel import NumericalBreakdownError, spectrum
 
 from conftest import active_universe, make_instance
 
@@ -52,15 +53,17 @@ def test_intercept_only_fit_is_the_class_rate():
 def test_residual_identity():
     data = _dataset(seed=5)
     null = fit_null(data)
-    # resid is the response with the covariate projection removed:
-    # projecting it again changes nothing, and adding the projected part
-    # back recovers y
-    again = null.residualize(null.resid[:, None])[:, 0]
-    assert np.abs(null.resid - again).max() < 1e-10
-    hat_y = data.y - null.resid
-    assert np.abs(null.residualize(hat_y[:, None])).max() < 1e-10
-    # orthogonal to every covariate column
+    # resid is the response minus its fitted mean, orthogonal to every
+    # covariate column by the score equations
+    assert np.abs(null.resid - (data.y - null.mu_hat)).max() < 1e-15
     assert np.abs(data.Z.T @ null.resid).max() < 1e-8
+    # residualizing is idempotent, and its output is sigma-weighted
+    # orthogonal to every covariate column
+    M = null.residualize(data.X)
+    assert np.abs(null.residualize(M) - M).max() < 1e-10
+    assert np.abs(data.Z.T @ (null.sigma_diag[:, None] * M)).max() < 1e-10
+    # a covariate column residualizes to zero
+    assert np.abs(null.residualize(data.Z)).max() < 1e-10
 
 
 def test_intercept_only_residual_is_centering():
@@ -130,17 +133,25 @@ def test_dataset_validation():
 
 
 def test_statistic_additivity_against_full_quadratic_form():
-    # set statistic recomputed from the explicit hat-matrix quadratic form
+    # set statistic recomputed as the squared norm of the set's score,
+    # taken against explicitly residualized columns: the weighted
+    # hat-matrix projection of Z is removed from X, which changes no
+    # score because y - mu_hat is orthogonal to Z
     data, null, stats, provider = make_instance(seed=13, n=40, m=6,
                                                 effect=1.0, confounders=2)
-    Z = data.Z
-    H = Z @ np.linalg.solve(Z.T @ Z, Z.T)
-    resid_full = (np.eye(data.n_samples) - H) @ data.y
+    Z, W = data.Z, np.diag(null.sigma_diag)
+    H_w = Z @ np.linalg.solve(Z.T @ W @ Z, Z.T @ W)
+    M = (np.eye(data.n_samples) - H_w) @ data.X
+    resid = data.y - null.mu_hat
     for R in [(0,), (1, 3), (0, 2, 4, 5), tuple(range(6))]:
-        XR = data.X[:, list(R)]
-        direct = float(resid_full @ XR @ XR.T @ resid_full)
+        score = M[:, list(R)].T @ resid
+        direct = float(score @ score)
         additive = float(stats.g[list(R)].sum())
         assert additive == pytest.approx(direct, rel=1e-9)
+        # the level is the trace of the score's null covariance
+        cov = M[:, list(R)].T @ W @ M[:, list(R)]
+        assert float(stats.w[list(R)].sum()) == pytest.approx(
+            np.trace(cov), rel=1e-9)
 
 
 def test_weights_match_spectrum_traces():
@@ -240,7 +251,62 @@ def test_provider_cache_is_bounded(monkeypatch):
 
 
 def test_spectrum_function_matches_provider():
-    data, null, stats, provider = make_instance(seed=43, n=30, m=5)
-    direct = spectrum(data, null, (0, 3))
-    cached = provider.spectrum((0, 3))
-    assert direct == pytest.approx(cached, rel=1e-12)
+    # a Gram matrix built here from data.X, the variances and a
+    # projector of our own, for one set with r <= n and one with r > n
+    data, null, stats, provider = make_instance(seed=43, n=8, m=12,
+                                                confounders=1)
+    Z, sigma = data.Z, null.sigma_diag
+    Z_w = np.sqrt(sigma)[:, None] * Z
+    P = np.eye(data.n_samples) - Z_w @ np.linalg.pinv(Z_w)
+    B = P @ (np.sqrt(sigma)[:, None] * data.X)     # W^{1/2} M
+    for R in [(0, 3, 7), tuple(range(12))]:
+        want = np.linalg.eigvalsh(B[:, list(R)].T @ B[:, list(R)])[::-1]
+        got = provider.spectrum(R)
+        assert got.size <= min(len(R), data.n_samples)
+        assert got == pytest.approx(want[:got.size], rel=1e-9,
+                                    abs=1e-9 * want[0])
+        assert np.all(np.abs(want[got.size:]) <= 1e-9 * want[0])
+    with pytest.raises(NumericalBreakdownError):
+        spectrum(np.diag([1.0, -1e-3]))
+
+
+def test_gram_block_matches_direct_product():
+    data, null, stats, provider = make_instance(seed=44, n=30, m=9,
+                                                confounders=1)
+    M = null.residualize(data.X)
+    idx = [6, 2, 8, 0, 5]
+    G = provider.gram(idx)
+    M_idx = M[:, idx]
+    want = M_idx.T @ (null.sigma_diag[:, None] * M_idx)
+    assert np.abs(G - want).max() <= 1e-12 * np.abs(want).max()
+    # leading blocks are the Gram matrices of the leading members
+    for j in range(1, len(idx) + 1):
+        assert np.array_equal(G[:j, :j], provider.gram(idx[:j]))
+    assert np.trace(G) == pytest.approx(stats.w[idx].sum(), rel=1e-12)
+
+
+def test_confounder_adjusted_null_holds_its_level():
+    # the response depends on a confounder z, and every feature on z^2;
+    # none adds to what z explains, so the set is a true null and
+    # globaltest may reject it at most alpha of the time (plus two
+    # standard errors); a linear confounder residual rejects about 0.27
+    rng = np.random.default_rng(2006)
+    n, k, alpha, reps = 200, 5, 0.05, 1000
+    rejections = 0
+    for _ in range(reps):
+        z = rng.standard_normal(n)
+        p = 1.0 / (1.0 + np.exp(-3.0 * z))
+        y = (rng.uniform(size=n) < p).astype(float)
+        X = z[:, None] ** 2 + rng.standard_normal((n, k))
+        data = Dataset(y=y, Z=np.column_stack([np.ones(n), z]), X=X,
+                       feature_names=tuple(f"x{j}" for j in range(k)),
+                       sample_ids=tuple(f"s{i}" for i in range(n)))
+        with warnings.catch_warnings():    # a few draws clamp mu_hat
+            warnings.simplefilter("ignore", SeparationWarning)
+            null = fit_null(data)
+        res = ctgt.globaltest(feature_stats(data, null),
+                              ctgt.SpectrumProvider(data, null),
+                              tuple(range(k)), alpha)
+        rejections += res.reject
+    se = np.sqrt(alpha * (1.0 - alpha) / reps)
+    assert rejections / reps <= alpha + 2.0 * se, rejections / reps

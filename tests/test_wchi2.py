@@ -126,11 +126,13 @@ def test_chernoff_bound_covers_the_computed_tail(lam, excess, stretch):
 
 @pytest.mark.parametrize("lam", [(40.0, 1.0), (300.0, 7.0, 1.0),
                                  (1500.0, 1500.0, 20.0, 1.0)])
-def test_stall_boundary_follows_the_series_length(lam):
+def test_stall_boundary_follows_the_series_length(lam, monkeypatch):
     n = recursion_coefficients(lam).size
-    assert WeightedChiSq(lam, max_terms=n + n // 10 + 2).n_terms <= n + n // 10
+    monkeypatch.setattr(ctgt.wchi2, "MAX_TERMS", n + n // 10 + 2)
+    assert WeightedChiSq(lam).n_terms <= n + n // 10
+    monkeypatch.setattr(ctgt.wchi2, "MAX_TERMS", n // 2)
     with pytest.raises(SeriesStallError):
-        WeightedChiSq(lam, max_terms=n // 2)
+        WeightedChiSq(lam)
 
 
 def test_cdf_matches_cf_inversion_oracle():
@@ -244,10 +246,11 @@ def test_invalid_weights_rejected():
             WeightedChiSq(weights)
 
 
-def test_extreme_ratio_stalls_with_clear_error():
+def test_extreme_ratio_stalls_with_clear_error(monkeypatch):
     # ratio 1e9 needs more mixture terms than any sane cap
+    monkeypatch.setattr(ctgt.wchi2, "MAX_TERMS", 2000)
     with pytest.raises(SeriesStallError):
-        WeightedChiSq([1e9, 1.0], max_terms=2000)
+        WeightedChiSq([1e9, 1.0])
 
 
 def test_condense_preserves_total_and_majorizes():
@@ -292,11 +295,12 @@ def test_condense_matches_a_sorted_list_merge_bit_for_bit():
         assert np.array_equal(got, reference(v, reltol)), (v, reltol)
 
 
-def test_condense_unblocks_the_series():
+def test_condense_unblocks_the_series(monkeypatch):
     # raw ratio 5e6 would stall; the condensed vector evaluates fine
     raw = np.array([5.0, 1.0, 1e-6])
+    monkeypatch.setattr(ctgt.wchi2, "MAX_TERMS", 50_000)
     with pytest.raises(SeriesStallError):
-        WeightedChiSq(raw, max_terms=50_000)
+        WeightedChiSq(raw)
     dist = WeightedChiSq(condense_weights(raw, 5e-3))
     assert 0.0 < dist.cdf(8.0) < 1.0
 
