@@ -29,9 +29,9 @@ print("level      envelope   bound      margin")
 for row in rows:
     if row["kind"] != "grid":
         continue
-    margin = row["gmin"] - row["cmax"]
+    margin = row["g_min"] - row["c_max"]
     flag = "reject here" if margin >= 0 else ""
-    print(f"{row['level']:8.3f} {row['gmin']:10.3f} {row['cmax']:10.3f} "
+    print(f"{row['level']:8.3f} {row['g_min']:10.3f} {row['c_max']:10.3f} "
           f"{margin:10.3f}  {flag}")
 
 print("\nexact staircase sets along the envelope:")
@@ -39,7 +39,7 @@ for row in rows:
     if row["kind"] != "exact":
         continue
     print(f"  {row['members']}: statistic {row['statistic']:.3f} "
-          f"vs critical {row['critical']:.3f}")
+          f"vs critical {row['critical_value']:.3f}")
 
 records = ctgt.alpha0_survey(stats, provider, np.random.default_rng(50),
                              n_base_sets=3, n_supersets=60)

@@ -119,7 +119,7 @@ def _ordered_map(fn, items: list, workers: int) -> list:
 def _analyze_one(stats, provider, universe, alpha, max_iterations,
                  job) -> CollectionRow:
     name, members = job
-    requested = tuple(dict.fromkeys(int(i) for i in members))
+    requested = tuple(dict.fromkeys(members))   # validated in the try
     active = ()
     try:
         if requested:

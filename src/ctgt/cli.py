@@ -2,8 +2,10 @@
 
 Subcommands: test (one set), analyze (pathway batch), curves (envelope
 export), oracle (brute-force comparison), simulate (error-rate study),
-alpha0-check (conservatism audit).  Every command echoes its resolved
-configuration so runs are self-describing.
+alpha0-check (conservatism audit).  Every command prints to stdout,
+opening with a '# configuration' block of its resolved options and, on
+a data table, its response coding, so runs are self-describing.  `curves`
+exports curve_table's rows under their own keys, the CURVE_COLUMNS.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -122,14 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _echo_config(pairs: dict, file) -> None:
-    print("\n".join(tableio.comment_lines("configuration", pairs)), file=file)
+def _config(args: argparse.Namespace, data=None) -> dict:
+    """The resolved options, then the response coding of loaded data."""
+    config = {k: v for k, v in vars(args).items()
+              if k != "command" and v is not None}
+    if data is not None and data.response_labels is not None:
+        a, b = data.response_labels
+        config["response_coding"] = f"{a!r} -> 0, {b!r} -> 1"
+    return config
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"command"}
-    return {k: v for k, v in vars(args).items()
-            if k not in skip and v is not None}
+def _echo_config(config: dict) -> None:
+    print("\n".join(tableio.comment_lines("configuration", config)))
+
+
+def _echo_pairs(pairs: dict) -> None:
+    """One 'key = value' line per pair, values as fmt_value renders them."""
+    print("\n".join(f"{k} = {tableio.fmt_value(v)}"
+                    for k, v in pairs.items()))
 
 
 def _split_names(raw: str) -> list[str]:
@@ -142,9 +155,7 @@ def _load(args):
                                 confounders=_split_names(args.confounders),
                                 normalization=args.normalize)
     null = fit_null(data)
-    stats = feature_stats(data, null)
-    provider = SpectrumProvider(data, null)
-    return data, null, stats, provider
+    return data, feature_stats(data, null), SpectrumProvider(data, null)
 
 
 def _resolve_active(data, stats, raw: str
@@ -173,45 +184,33 @@ def _witness_names(data, witness) -> str:
     return "+".join(data.feature_names[j] for j in witness)
 
 
-def _echo_response_coding(data, file) -> None:
-    if data.response_labels is not None:
-        a, b = data.response_labels
-        print(f"# response coding: {a!r} -> 0, {b!r} -> 1", file=file)
-
-
-def cmd_test(args, out=None) -> int:
-    out = sys.stdout if out is None else out
-    data, _, stats, provider = _load(args)
+def cmd_test(args) -> int:
+    data, stats, provider = _load(args)
     active, dropped = _resolve_active(data, stats, args.members)
-    _echo_config(_config_dict(args), out)
-    _echo_response_coding(data, out)
+    _echo_config(_config(args, data))
     if dropped:
-        print(f"# inactive members dropped: {', '.join(dropped)}", file=out)
+        print(f"# inactive members dropped: {', '.join(dropped)}")
     single = globaltest(stats, provider, active, args.alpha)
     res = iterative_shortcut(stats, provider, active, stats.active_indices,
                              args.alpha, max_iterations=args.max_iter)
-    print(f"set = {'+'.join(data.feature_names[j] for j in active)}",
-          file=out)
-    print(f"level = {tableio.fmt_value(float(stats.w[list(active)].sum()))}",
-          file=out)
-    print(f"statistic = {tableio.fmt_value(single.statistic)}", file=out)
-    print(f"critical_value = {tableio.fmt_value(single.critical_value)}",
-          file=out)
-    print(f"p_value_single_set = {tableio.fmt_value(single.p_value)}",
-          file=out)
-    print(f"decision = {res.decision}", file=out)
-    print(f"iterations_used = {res.iterations_used}", file=out)
-    print(f"witness = {_witness_names(data, res.witness)}", file=out)
-    print(CAVEAT, file=out)
-    if res.decision == UNSURE:
-        return 2
-    return 0
+    _echo_pairs({
+        "set": _witness_names(data, active),
+        "level": float(stats.w[list(active)].sum()),
+        "statistic": single.statistic,
+        "critical_value": single.critical_value,
+        "p_value_single_set": single.p_value,
+        "decision": res.decision,
+        "iterations_used": res.iterations_used,
+        "witness": _witness_names(data, res.witness),
+    })
+    print(CAVEAT)
+    return 2 if res.decision == UNSURE else 0
 
 
-def _collection_row_dict(row, data) -> dict:
+def _collection_row_dict(row, data, n_listed: int) -> dict:
     return {
         "set_name": row.name,
-        "size": row.n_members,
+        "size": n_listed,           # names as listed, found or not
         "resolved_size": row.n_active,
         "level": row.level,
         "statistic": row.statistic,
@@ -222,9 +221,8 @@ def _collection_row_dict(row, data) -> dict:
     }
 
 
-def cmd_analyze(args, out=None) -> int:
-    out = sys.stdout if out is None else out
-    data, _, stats, provider = _load(args)
+def cmd_analyze(args) -> int:
+    data, stats, provider = _load(args)
     collection = tableio.load_pathways(args.pathways)
     resolved = tableio.resolve_pathways(collection, data.feature_names)
     jobs = [(rp.name, rp.indices) for rp in resolved]
@@ -235,16 +233,9 @@ def cmd_analyze(args, out=None) -> int:
     rows = analyze_collection(stats, provider, jobs, args.alpha,
                               max_iterations=args.max_iter,
                               workers=args.workers)
-    config = _config_dict(args)
-    if data.response_labels is not None:
-        a, b = data.response_labels
-        config["response_coding"] = f"{a!r} -> 0, {b!r} -> 1"
-    row_dicts = [_collection_row_dict(r, data) for r in rows]
-    for d, n_listed in zip(row_dicts, listed_sizes):
-        d["size"] = n_listed        # names as listed, found or not
-    counts = {d: 0 for d in (REJECT, NOT_REJECT, UNSURE, SKIPPED, ERROR)}
-    for r in rows:
-        counts[r.decision] = counts.get(r.decision, 0) + 1
+    row_dicts = [_collection_row_dict(r, data, n)
+                 for r, n in zip(rows, listed_sizes)]
+    counts = Counter(r.decision for r in rows)
     summary = {
         "sets": len(rows),
         "rejected": counts[REJECT],
@@ -253,69 +244,50 @@ def cmd_analyze(args, out=None) -> int:
         "skipped": counts[SKIPPED],
         "errors": counts[ERROR],
     }
-    report = tableio.render_report(config, row_dicts, summary)
-    out.write(report)
+    print(tableio.render_report(_config(args, data), row_dicts, summary),
+          end="")
     for rp in resolved:
         if rp.missing:
             print(f"# pathway {rp.name}: {len(rp.missing)} member(s) not in "
-                  f"the data: {', '.join(rp.missing[:5])}", file=out)
+                  f"the data: {', '.join(rp.missing[:5])}")
     for r in rows:
         if r.note:
-            print(f"# {r.name}: {r.note}", file=out)
-    print(CAVEAT, file=out)
+            print(f"# {r.name}: {r.note}")
+    print(CAVEAT)
     if args.out:
         tableio.write_results(row_dicts, args.out)
-        print(f"# results written to {args.out}", file=out)
+        print(f"# results written to {args.out}")
     if counts[ERROR]:
         return 1
     return 2 if counts[UNSURE] else 0
 
 
-def cmd_curves(args, out=None) -> int:
-    out = sys.stdout if out is None else out
-    data, _, stats, provider = _load(args)
+def cmd_curves(args) -> int:
+    data, stats, provider = _load(args)
     active, _ = _resolve_active(data, stats, args.members)
     rows = curve_table(stats, provider, active, stats.active_indices,
                        args.alpha, samples=args.samples)
-    _echo_config(_config_dict(args), out)
-    _echo_response_coding(data, out)
-
-    def cells(row):
-        members_str = ""
-        if "members" in row:
-            members_str = "+".join(data.feature_names[j]
-                                   for j in row["members"])
-        fmt = tableio.fmt_value
-        return {
-            "kind": row["kind"],
-            "level": fmt(row["level"]),
-            "g_min": fmt(row["gmin"]) if "gmin" in row else "",
-            "c_max": fmt(row["cmax"]) if "cmax" in row else "",
-            "statistic": fmt(row["statistic"]) if "statistic" in row else "",
-            "critical_value": (fmt(row["critical"])
-                               if "critical" in row else ""),
-            "members": members_str,
-        }
-
+    _echo_config(_config(args, data))
     lines = ["\t".join(CURVE_COLUMNS)]
-    lines += ["\t".join(cells(r)[c] for c in CURVE_COLUMNS) for r in rows]
+    for row in rows:
+        row = {**row, "members": _witness_names(data, row.get("members"))}
+        lines.append("\t".join(tableio.fmt_value(row.get(c, ""))
+                               for c in CURVE_COLUMNS))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"# curve table written to {args.out}", file=out)
+        print(f"# curve table written to {args.out}")
     else:
-        out.write(text)
+        print(text, end="")
     return 0
 
 
-def cmd_oracle(args, out=None) -> int:
-    out = sys.stdout if out is None else out
-    data, _, stats, provider = _load(args)
+def cmd_oracle(args) -> int:
+    data, stats, provider = _load(args)
     active, _ = _resolve_active(data, stats, args.members)
     universe = stats.active_indices
-    _echo_config(_config_dict(args), out)
-    _echo_response_coding(data, out)
+    _echo_config(_config(args, data))
 
     t0 = time.perf_counter()
     oracle = full_closed_test(stats, provider, active, universe, args.alpha,
@@ -329,68 +301,66 @@ def cmd_oracle(args, out=None) -> int:
 
     agree = (short.decision == oracle.decision
              or short.decision == UNSURE)   # unsure never contradicts
-    print(f"oracle_decision = {oracle.decision}", file=out)
-    print(f"oracle_tests = {oracle.n_tests}", file=out)
-    print(f"oracle_tests_by_bound = {oracle.n_by_bound}", file=out)
-    print(f"oracle_seconds = {t_oracle:.3f}", file=out)
-    print(f"shortcut_decision = {short.decision}", file=out)
-    print(f"shortcut_iterations = {short.iterations_used}", file=out)
-    print(f"shortcut_seconds = {t_short:.3f}", file=out)
-    print(f"agreement = {'yes' if agree else 'NO'}", file=out)
+    pairs = {
+        "oracle_decision": oracle.decision,
+        "oracle_tests": oracle.n_tests,
+        "oracle_tests_by_bound": oracle.n_by_bound,
+        "oracle_seconds": f"{t_oracle:.3f}",
+        "shortcut_decision": short.decision,
+        "shortcut_iterations": short.iterations_used,
+        "shortcut_seconds": f"{t_short:.3f}",
+        "agreement": "yes" if agree else "NO",
+    }
     if short.witness:
-        print(f"shortcut_witness = {_witness_names(data, short.witness)}",
-              file=out)
+        pairs["shortcut_witness"] = _witness_names(data, short.witness)
     if oracle.first_failure:
-        print("oracle_first_failure = "
-              f"{_witness_names(data, oracle.first_failure)}", file=out)
+        pairs["oracle_first_failure"] = _witness_names(data,
+                                                       oracle.first_failure)
+    _echo_pairs(pairs)
     return 0 if agree else 1
 
 
-def cmd_simulate(args, out=None) -> int:
-    out = sys.stdout if out is None else out
-    _echo_config(_config_dict(args), out)
+def cmd_simulate(args) -> int:
+    _echo_config(_config(args))
     summary = fwer_simulation(n=args.n, m=args.m, n_pathways=args.n_pathways,
                               replicates=args.replicates, effect=args.effect,
                               n_signal=args.n_signal, alpha=args.alpha,
                               max_iterations=args.max_iter, seed=args.seed,
                               workers=args.workers)
-    print(f"replicates_completed = {summary.replicates}", file=out)
-    print(f"replicates_failed = {summary.n_failed}", file=out)
-    print(f"fwer_estimate = {summary.fwer_estimate:.6g}", file=out)
-    print(f"fwer_std_error = {summary.std_error:.6g}", file=out)
-    print("replicates_with_false_rejection = "
-          f"{summary.n_any_false_rejection}", file=out)
-    print(f"total_null_sets = {summary.total_null_sets}", file=out)
-    print(f"total_null_rejections = {summary.total_null_rejections}",
-          file=out)
-    print(f"avg_true_rejections = {summary.avg_true_rejections:.6g}",
-          file=out)
+    _echo_pairs({
+        "replicates_completed": summary.replicates,
+        "replicates_failed": summary.n_failed,
+        "fwer_estimate": f"{summary.fwer_estimate:.6g}",
+        "fwer_std_error": f"{summary.std_error:.6g}",
+        "replicates_with_false_rejection": summary.n_any_false_rejection,
+        "total_null_sets": summary.total_null_sets,
+        "total_null_rejections": summary.total_null_rejections,
+        "avg_true_rejections": f"{summary.avg_true_rejections:.6g}",
+    })
     return 0
 
 
-def cmd_alpha0_check(args, out=None) -> int:
-    out = sys.stdout if out is None else out
-    data, _, stats, provider = _load(args)
-    _echo_config(_config_dict(args), out)
-    _echo_response_coding(data, out)
+def cmd_alpha0_check(args) -> int:
+    data, stats, provider = _load(args)
+    _echo_config(_config(args, data))
     rng = np.random.default_rng(args.seed)
     records = alpha0_survey(stats, provider, rng,
                             n_base_sets=args.base_sets,
                             n_supersets=args.samples)
     worst = min(records, key=lambda r: r.alpha0)
-    print(f"supersets_audited = {len(records)}", file=out)
-    print(f"min_alpha0 = {worst.alpha0:.6g}", file=out)
-    print("min_alpha0_base = "
-          f"{_witness_names(data, worst.base)}", file=out)
-    print("min_alpha0_superset_size = "
-          f"{len(worst.superset)}", file=out)
     if worst.alpha0 > args.alpha:
-        print(f"verdict = bound conservative at alpha {args.alpha} for every "
-              "sampled superset", file=out)
+        verdict = (f"bound conservative at alpha {args.alpha} for every "
+                   "sampled superset")
     else:
-        print(f"verdict = bound NOT certified at alpha {args.alpha}; "
-              "smallest safe working level exceeds min_alpha0 above",
-              file=out)
+        verdict = (f"bound NOT certified at alpha {args.alpha}; smallest "
+                   "safe working level exceeds min_alpha0 above")
+    _echo_pairs({
+        "supersets_audited": len(records),
+        "min_alpha0": f"{worst.alpha0:.6g}",
+        "min_alpha0_base": _witness_names(data, worst.base),
+        "min_alpha0_superset_size": len(worst.superset),
+        "verdict": verdict,
+    })
     return 0
 
 

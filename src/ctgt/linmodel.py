@@ -14,6 +14,7 @@ immutable after construction.
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class NumericalBreakdownError(RuntimeError):
 
 
 class SeparationWarning(UserWarning):
-    """Logistic null fit hit separation or the iteration cap; fitted means
-    were clamped and the fit proceeds."""
+    """Logistic null fit hit the iteration cap, as it does on separated
+    data; the fit proceeds with its current means."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -181,8 +182,8 @@ def fit_null(dataset: Dataset) -> NullModel:
     converged when the largest coefficient change drops below IRLS_TOL
     within IRLS_MAX_ITER iterations.
     Raises RankDeficientError for a rank-deficient confounder matrix;
-    warns (SeparationWarning) and clamps the means when the fit hits the
-    iteration cap or produces means outside [1e-6, 1 - 1e-6].
+    warns (SeparationWarning) when the fit hits the iteration cap.  Means
+    outside [1e-6, 1 - 1e-6] are clamped, converged or not.
     """
     Z, y = dataset.Z, dataset.y
     R = np.linalg.qr(Z, mode="r")
@@ -192,7 +193,6 @@ def fit_null(dataset: Dataset) -> NullModel:
             "confounder matrix is rank deficient (collinear columns)")
 
     gamma = np.zeros(Z.shape[1])
-    converged = False
     for _ in range(IRLS_MAX_ITER):
         eta = Z @ gamma
         mu = 1.0 / (1.0 + np.exp(-eta))
@@ -203,17 +203,13 @@ def fit_null(dataset: Dataset) -> NullModel:
         step = float(np.max(np.abs(gamma_new - gamma)))
         gamma = gamma_new
         if step < IRLS_TOL:
-            converged = True
             break
-
-    mu = 1.0 / (1.0 + np.exp(-(Z @ gamma)))
-    clamped = bool(np.any((mu < MEAN_CLAMP) | (mu > 1.0 - MEAN_CLAMP)))
-    if not converged or clamped:
+    else:
         warnings.warn(
-            "logistic null fit did not converge cleanly"
-            + (" (fitted means clamped; data may be separated)" if clamped else "")
-            + "; proceeding with current fit",
+            f"logistic null fit did not converge within {IRLS_MAX_ITER} "
+            "iterations (data may be separated); proceeding with current fit",
             SeparationWarning, stacklevel=2)
+    mu = 1.0 / (1.0 + np.exp(-(Z @ gamma)))
     mu = np.clip(mu, MEAN_CLAMP, 1.0 - MEAN_CLAMP)
     sigma = mu * (1.0 - mu)
     Q_w, _ = np.linalg.qr(np.sqrt(sigma)[:, None] * Z)
@@ -240,10 +236,21 @@ def feature_stats(dataset: Dataset, null: NullModel) -> FeatureStats:
     return FeatureStats(g=g, w=w, q=q, active=active)
 
 
+def _index_key(R, name: str = "feature set") -> frozenset:
+    """R's members as a frozenset of ints.  numpy integers pass; a
+    non-integral member (1.5, "2") raises ValueError instead of being
+    truncated."""
+    try:
+        return frozenset(map(operator.index, R))
+    except TypeError:
+        raise ValueError(f"{name} contains a non-integral feature "
+                         "index") from None
+
+
 def _check_index_set(R, n_features: int,
                      name: str = "feature set") -> tuple[int, ...]:
     """R as ascending distinct indices; nonempty and inside [0, n_features)."""
-    idx = tuple(sorted(set(int(i) for i in R)))
+    idx = tuple(sorted(_index_key(R, name)))
     if not idx:
         raise ValueError(f"{name} must be nonempty")
     if idx[0] < 0 or idx[-1] >= n_features:
@@ -310,7 +317,7 @@ class SpectrumProvider:
         return self._gram[np.ix_(idx, idx)]
 
     def spectrum(self, R) -> np.ndarray:
-        key = frozenset(int(i) for i in R)
+        key = _index_key(R)
         hit = self._cache.get(key)
         if hit is None:
             idx = _check_index_set(key, self.dataset.n_features)
@@ -327,7 +334,7 @@ class SpectrumProvider:
         return hit[0]
 
     def dist(self, R) -> wchi2.WeightedChiSq:
-        key = frozenset(int(i) for i in R)
+        key = _index_key(R)
         lam = self.spectrum(key)          # stores the entry if it is new
         hit = self._cache[key][1]
         if hit is None:

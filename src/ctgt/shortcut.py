@@ -402,7 +402,8 @@ class ExactTester:
     matrix (SpectrumProvider.gram, a block of one matrix the provider
     keeps), and M = min(sqrt(S2), largest absolute row sum) bounds the
     largest eigenvalue.  The computed cdf lies at most wchi2.TRUNC_TOL
-    below the true one (TRUNC_TOL exceeds the series' rounding), so when
+    below the true one, up to the ladder's rounding (below TRUNC_TOL for
+    series of under some 30,000 terms; see wchi2), so when
     bound + 2 * TRUNC_TOL <= alpha (the bound inflated by
     BOUND_REL_SLACK) the series would pass the set too, and `reject`
     returns True without it.  Otherwise the series decides, as before.
@@ -559,11 +560,12 @@ def curve_table(stats: FeatureStats, provider: SpectrumProvider, R, F,
                 alpha: float, samples: int = 200) -> list[dict]:
     """Sampled curve data for diagnostics and export.
 
-    Rows of kind "grid" carry (level, gmin, cmax) at evenly spaced levels
-    plus every breakpoint; rows of kind "exact" carry each staircase
-    set's (level, statistic, critical value).  Sorted by level, grid rows
-    first within ties, so the first and last rows are the base and
-    universe endpoints.
+    Rows of kind "grid" carry (level, g_min, c_max) at evenly spaced
+    levels plus every breakpoint; rows of kind "exact" carry each
+    staircase set's (level, statistic, critical_value, members).  The
+    keys are the column names of the `ctgt curves` export.  Sorted by
+    level, grid rows first within ties, so the first and last rows are
+    the base and universe endpoints.
     """
     alpha = _alpha_checked(alpha)
     if samples < 2:
@@ -575,8 +577,8 @@ def curve_table(stats: FeatureStats, provider: SpectrumProvider, R, F,
         np.linspace(curve.base_level, curve.top_level, samples),
         curve.levels)))
     rows = [{"kind": "grid", "level": float(l),
-             "gmin": float(curve.evaluate(l)),
-             "cmax": float(cmax(lam_base, lam_top, l, alpha))}
+             "g_min": float(curve.evaluate(l)),
+             "c_max": float(cmax(lam_base, lam_top, l, alpha))}
             for l in grid]
     for k in range(len(curve.order) + 1):
         members = curve.staircase(k)
@@ -584,7 +586,7 @@ def curve_table(stats: FeatureStats, provider: SpectrumProvider, R, F,
         rows.append({"kind": "exact",
                      "level": level(stats, members),
                      "statistic": float(stats.g[list(members)].sum()),
-                     "critical": dist.quantile(1.0 - alpha),
+                     "critical_value": dist.quantile(1.0 - alpha),
                      "members": members})
     rows.sort(key=lambda r: (r["level"], r["kind"] != "grid"))
     return rows

@@ -157,16 +157,19 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
     NumericalBreakdownError and a failed two-class redraw among them),
     RankDeficientError, InfeasibleLevelError or TargetOutOfRangeError.
     Any other ValueError is a caller error, such as an alpha outside
-    (0, 0.5), and propagates; fewer than one replicate or pathway is
-    refused before any replicate runs.  A run in which no completed
-    replicate drew a true-null set (every set overlaps the signal) has
-    no FWER to estimate and raises ValueError.
+    (0, 0.5), and propagates; fewer than one replicate or pathway, or
+    fewer than RANDOM_SET_MIN_SIZE features, is refused before any
+    replicate runs.  A run in which no completed replicate drew a
+    true-null set (every set overlaps the signal) has no FWER to
+    estimate and raises ValueError.
     """
     alpha = _alpha_checked(alpha)
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     if n_pathways < 1:
         raise ValueError("n_pathways must be at least 1")
+    if m < RANDOM_SET_MIN_SIZE:
+        raise ValueError(f"need at least {RANDOM_SET_MIN_SIZE} features")
     children = np.random.SeedSequence(seed).spawn(replicates)
     outcomes = _ordered_map(partial(_one_replicate, n, m, n_pathways, effect,
                                     n_signal, alpha, max_iterations),

@@ -259,6 +259,22 @@ def test_analyze_collection_reports_out_of_range_members_as_errors():
     assert rows[4].note == "no members"
 
 
+def test_analyze_collection_reports_non_integral_members_as_errors():
+    # int() would truncate (0.9, 1.2) to (0, 1) and decide that set
+    data = ctgt.logistic_dataset(40, 6, effect=1.0, n_signal=2,
+                                 rng=np.random.default_rng(3))
+    null = ctgt.fit_null(data)
+    stats = ctgt.feature_stats(data, null)
+    provider = ctgt.SpectrumProvider(data, null)
+    rows = analyze_collection(stats, provider,
+                              [("a", (0.9, 1.2)), ("b", np.array([0, 1]))],
+                              0.05)
+    assert rows[0].decision == "error"
+    assert "non-integral" in rows[0].note
+    assert rows[0].n_members == 2
+    assert rows[1].decision == "reject"
+
+
 def test_analyze_collection_rows_only_typed_failures(monkeypatch):
     data, null, stats, provider = make_instance(seed=482, n=30, m=6)
     jobs = [("a", (0, 1)), ("b", (2, 3))]

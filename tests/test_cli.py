@@ -1,5 +1,6 @@
 """End-to-end command runs through main(argv) on temporary files."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_test_command_reports_and_exits_cleanly(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code in (0, 2)
     assert out.startswith("# configuration")
-    assert "# response coding: '0' -> 0, '1' -> 1" in out
+    assert "#   response_coding = '0' -> 0, '1' -> 1" in out
     assert "set = f1+f2" in out
     assert "decision = " in out
     assert "iterations_used = " in out
@@ -260,6 +261,14 @@ def test_simulate_refuses_fewer_than_one_pathway(capsys, n_pathways):
     assert "fwer_estimate" not in captured.out
 
 
+def test_simulate_refuses_fewer_features_than_a_random_set(capsys):
+    code = main(["simulate", "--m", "1", "--replicates", "3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: need at least 2 features\n"
+    assert "fwer_estimate" not in captured.out
+
+
 def test_simulate_refuses_a_nan_effect(capsys):
     code = main(["simulate", "--n", "25", "--m", "5", "--replicates", "3",
                  "--effect", "nan", "--seed", "1"])
@@ -322,3 +331,36 @@ def test_analyze_report_matches_the_committed_golden_report(
             else:
                 assert got_cells[column] == cell, (want_cells["set_name"],
                                                    column)
+
+
+_TOY = ["--data", "toy100x5.csv", "--response", "y"]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("toy100x5_test.txt", ["test", *_TOY, "--set", "f1,f2"]),
+    ("toy100x5_curves.txt",
+     ["curves", *_TOY, "--set", "f1", "--samples", "7"]),
+    ("toy100x5_oracle.txt", ["oracle", *_TOY, "--set", "f1,f2"]),
+    ("toy100x5_alpha0_check.txt",
+     ["alpha0-check", *_TOY, "--samples", "8", "--seed", "1"]),
+    ("simulate_replicates20_seed3.txt",
+     ["simulate", "--replicates", "20", "--seed", "3"]),
+])
+def test_subcommand_output_matches_its_committed_golden_output(
+        golden, argv, capsys, monkeypatch):
+    # numbers are compared to a relative 1e-9, as in the analyze golden
+    # report; oracle's *_seconds lines vary run to run and are not kept
+    monkeypatch.chdir(DATA_DIR)
+    assert main(argv) == 0
+    got = [line for line in capsys.readouterr().out.splitlines()
+           if "_seconds = " not in line]
+    want = (DATA_DIR / golden).read_text().splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        got_cells = re.split(r"\t| = ", got_line)
+        want_cells = re.split(r"\t| = ", want_line)
+        assert len(got_cells) == len(want_cells), want_line
+        for got_cell, want_cell in zip(got_cells, want_cells):
+            if got_cell != want_cell:
+                assert float(got_cell) == pytest.approx(
+                    float(want_cell), rel=1e-9), want_line

@@ -9,7 +9,8 @@ from scipy.optimize import minimize
 import ctgt
 from ctgt import (Dataset, RankDeficientError, SeparationWarning,
                   feature_stats, fit_null)
-from ctgt.linmodel import NumericalBreakdownError, spectrum
+from ctgt.linmodel import (NumericalBreakdownError, _check_index_set,
+                           spectrum)
 
 from conftest import active_universe, make_instance
 
@@ -99,6 +100,45 @@ def test_separated_response_warns_but_fits():
         null = fit_null(data)
     assert np.all(null.mu_hat >= 1e-6)
     assert np.all(null.mu_hat <= 1 - 1e-6)
+
+
+def test_a_converged_fit_with_clamped_means_does_not_warn():
+    # draw 22 (counting from 0) of the level design in
+    # test_confounder_adjusted_null_holds_its_level: the classes overlap
+    # and IRLS converges, yet some fitted means pass the clamp; only a
+    # fit that hits the iteration cap warns
+    rng = np.random.default_rng(2006)
+    n, k = 200, 5
+    for _ in range(23):
+        z = rng.standard_normal(n)
+        p = 1.0 / (1.0 + np.exp(-3.0 * z))
+        y = (rng.uniform(size=n) < p).astype(float)
+        X = z[:, None] ** 2 + rng.standard_normal((n, k))
+    data = Dataset(y=y, Z=np.column_stack([np.ones(n), z]), X=X,
+                   feature_names=tuple(f"x{j}" for j in range(k)),
+                   sample_ids=tuple(f"s{i}" for i in range(n)))
+    assert z[y == 1].min() < z[y == 0].max()          # not separated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SeparationWarning)
+        null = fit_null(data)
+    clamps = (ctgt.linmodel.MEAN_CLAMP, 1.0 - ctgt.linmodel.MEAN_CLAMP)
+    assert np.isin(null.mu_hat, clamps).any()
+
+
+def test_non_integral_feature_indices_are_refused():
+    data, null, stats, provider = make_instance(seed=3, n=30, m=6)
+    with pytest.raises(ValueError, match="non-integral"):
+        _check_index_set((1.5, 2.9), 5)
+    assert _check_index_set(np.array([2, 0, 2]), 5) == (0, 2)
+    F = active_universe(stats)
+    R = (F[0] + 0.5, F[1])
+    for call in (lambda: provider.spectrum(R), lambda: provider.dist(R),
+                 lambda: ctgt.globaltest(stats, provider, R, 0.05),
+                 lambda: ctgt.single_step(stats, provider, R, F, 0.05)):
+        with pytest.raises(ValueError, match="non-integral"):
+            call()
+    np.testing.assert_array_equal(provider.spectrum(np.array(F[:2])),
+                                  provider.spectrum(F[:2]))
 
 
 def test_dataset_validation():

@@ -507,20 +507,20 @@ def test_curve_table_rows():
     lam_f = provider.spectrum(F)
     assert first["kind"] == "grid"
     assert first["level"] == pytest.approx(lam_r.sum(), rel=1e-9)
-    assert first["gmin"] == pytest.approx(float(stats.g[list(R)].sum()),
+    assert first["g_min"] == pytest.approx(float(stats.g[list(R)].sum()),
                                           rel=1e-9)
-    assert first["cmax"] == pytest.approx(provider.dist(R).quantile(0.95),
+    assert first["c_max"] == pytest.approx(provider.dist(R).quantile(0.95),
                                           rel=1e-8)
     assert last["kind"] == "exact"
     assert last["level"] == pytest.approx(lam_f.sum(), rel=1e-9)
     assert last["members"] == F
     grid_rows = [r for r in rows if r["kind"] == "grid"]
-    gmin_vals = [r["gmin"] for r in grid_rows]
+    gmin_vals = [r["g_min"] for r in grid_rows]
     assert np.all(np.diff(gmin_vals) >= -1e-9)
     # spot-check the cmax column against direct recomputation
     for r in grid_rows[:: max(1, len(grid_rows) // 5)]:
         direct = cmax(lam_r, lam_f, r["level"], 0.05)
-        assert r["cmax"] == pytest.approx(direct, rel=1e-8)
+        assert r["c_max"] == pytest.approx(direct, rel=1e-8)
 
 
 @pytest.mark.filterwarnings("ignore::ctgt.SeparationWarning",

@@ -98,3 +98,14 @@ def test_worker_processes_give_the_serial_summary():
 def test_fewer_than_one_pathway_is_refused(n_pathways):
     with pytest.raises(ValueError, match="n_pathways must be at least 1"):
         fwer_simulation(n_pathways=n_pathways, replicates=3, seed=1)
+
+
+def test_fewer_features_than_a_random_set_are_refused(monkeypatch):
+    # no set of RANDOM_SET_MIN_SIZE features can be drawn from one
+    # feature, so the run is refused before any replicate is drawn
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(ctgt.simulate, "_one_replicate", no_replicate)
+    with pytest.raises(ValueError, match="need at least 2 features"):
+        fwer_simulation(m=1, replicates=3, seed=1)

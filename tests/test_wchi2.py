@@ -19,8 +19,8 @@ from scipy.stats import chi2
 import ctgt
 from ctgt import (MajorizationError, SeriesStallError, WeightedChiSq,
                   alpha0_diagnostic)
-from ctgt.wchi2 import (TRUNC_TOL, chernoff_tail_bound, condense_weights,
-                        majorizes, partial_sum_gap)
+from ctgt.wchi2 import (QUANTILE_TOL, TRUNC_TOL, chernoff_tail_bound,
+                        condense_weights, majorizes, partial_sum_gap)
 
 # (weights, point, cdf) triples from the characteristic-function oracle
 CF_INVERSION_VALUES = [
@@ -92,14 +92,14 @@ def spectra(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(spectra())
 def test_coefficients_match_the_recursion(lam):
-    tol = 1e-10
+    tol = QUANTILE_TOL
     d = WeightedChiSq(lam)
     coeffs = d._coeffs
     assert coeffs.min() >= 0.0
     assert 1.0 - TRUNC_TOL <= d.mass <= 1.0 + 1e-9
     assert _l1_distance(coeffs, recursion_coefficients(lam)) <= 1e-11
     for p in (0.5, 0.95, 0.99):
-        c = d.cdf(d.quantile(p, tol=tol))
+        c = d.cdf(d.quantile(p))
         assert p <= c <= p + tol, (p, c)
 
 
@@ -190,11 +190,11 @@ def test_quantile_is_the_upper_end_of_its_bracket(p):
     # cmax must bound critical values from above, so the returned point
     # may not sit below the quantile of the computed cdf
     rng = np.random.default_rng(0)
-    tol = 1e-10
+    tol = QUANTILE_TOL
     for _ in range(300):
         lam = rng.uniform(0.05, 5.0, size=int(rng.integers(1, 8)))
         d = WeightedChiSq(lam)
-        c = d.cdf(d.quantile(p, tol=tol))
+        c = d.cdf(d.quantile(p))
         assert p <= c <= p + tol, lam
 
 
