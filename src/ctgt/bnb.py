@@ -31,6 +31,12 @@ SKIPPED = "skipped"
 ERROR = "error"
 
 
+def _budget_checked(max_iterations: int) -> int:
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    return max_iterations
+
+
 @dataclass(frozen=True)
 class Subspace:
     """All sets S with bottom <= S <= top (indices ascending)."""
@@ -65,8 +71,7 @@ def iterative_shortcut(stats: FeatureStats, provider: SpectrumProvider, R, F,
     lone single-step call on (R, F).
     """
     alpha = _alpha_checked(alpha)
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
+    max_iterations = _budget_checked(max_iterations)
     base, top = _nested_sorted(stats, R, F)
     worklist = [Subspace(top=top, bottom=base)]
     used = 0
@@ -109,7 +114,9 @@ def _ordered_map(fn, items: list, workers: int) -> list:
     """[fn(x) for x in items], in up to `workers` spawned processes that
     take one item at a time, so a few costly items do not queue behind
     each other in one process's share."""
-    if workers <= 1 or len(items) <= 1:
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(min(workers, len(items)),
                              mp_context=get_context("spawn")) as pool:
@@ -164,9 +171,12 @@ def analyze_collection(stats: FeatureStats, provider: SpectrumProvider,
     out-of-range member index among them, become `error` rows carrying
     the message rather than aborting the batch.  With `workers` > 1 the
     sets run in worker processes, each with its own copy of `provider`;
-    rows and their order do not depend on the worker count.
+    rows and their order do not depend on the worker count.  An alpha
+    outside (0, 0.5), a budget below one iteration, fewer than one worker
+    or a dataset without active features is refused before any set runs.
     """
     alpha = _alpha_checked(alpha)
+    max_iterations = _budget_checked(max_iterations)
     universe = stats.active_indices
     if not universe:
         raise ValueError("no active features in the dataset")

@@ -4,8 +4,10 @@ Subcommands: test (one set), analyze (pathway batch), curves (envelope
 export), oracle (brute-force comparison), simulate (error-rate study),
 alpha0-check (conservatism audit).  Every command prints to stdout,
 opening with a '# configuration' block of its resolved options and, on
-a data table, its response coding, so runs are self-describing.  `curves`
-exports curve_table's rows under their own keys, the CURVE_COLUMNS.
+a data table, its response coding, so runs are self-describing; a
+command that tests a --set then names the inactive members it dropped.
+`curves` exports curve_table's rows under their own keys, the
+CURVE_COLUMNS.
 """
 
 from __future__ import annotations
@@ -139,6 +141,14 @@ def _echo_config(config: dict) -> None:
     print("\n".join(tableio.comment_lines("configuration", config)))
 
 
+def _echo_set_config(args, data, dropped: list[str]) -> None:
+    """The configuration block, then the inactive --set members that
+    _resolve_active dropped."""
+    _echo_config(_config(args, data))
+    if dropped:
+        print(f"# inactive members dropped: {', '.join(dropped)}")
+
+
 def _echo_pairs(pairs: dict) -> None:
     """One 'key = value' line per pair, values as fmt_value renders them."""
     print("\n".join(f"{k} = {tableio.fmt_value(v)}"
@@ -187,9 +197,7 @@ def _witness_names(data, witness) -> str:
 def cmd_test(args) -> int:
     data, stats, provider = _load(args)
     active, dropped = _resolve_active(data, stats, args.members)
-    _echo_config(_config(args, data))
-    if dropped:
-        print(f"# inactive members dropped: {', '.join(dropped)}")
+    _echo_set_config(args, data, dropped)
     single = globaltest(stats, provider, active, args.alpha)
     res = iterative_shortcut(stats, provider, active, stats.active_indices,
                              args.alpha, max_iterations=args.max_iter)
@@ -264,10 +272,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_curves(args) -> int:
     data, stats, provider = _load(args)
-    active, _ = _resolve_active(data, stats, args.members)
+    active, dropped = _resolve_active(data, stats, args.members)
     rows = curve_table(stats, provider, active, stats.active_indices,
                        args.alpha, samples=args.samples)
-    _echo_config(_config(args, data))
+    _echo_set_config(args, data, dropped)
     lines = ["\t".join(CURVE_COLUMNS)]
     for row in rows:
         row = {**row, "members": _witness_names(data, row.get("members"))}
@@ -285,9 +293,9 @@ def cmd_curves(args) -> int:
 
 def cmd_oracle(args) -> int:
     data, stats, provider = _load(args)
-    active, _ = _resolve_active(data, stats, args.members)
+    active, dropped = _resolve_active(data, stats, args.members)
     universe = stats.active_indices
-    _echo_config(_config(args, data))
+    _echo_set_config(args, data, dropped)
 
     t0 = time.perf_counter()
     oracle = full_closed_test(stats, provider, active, universe, args.alpha,

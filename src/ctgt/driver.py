@@ -18,10 +18,6 @@ from .wchi2 import alpha0_diagnostic
 DEFAULT_CAP = 20
 
 
-class EnumerationCapError(ValueError):
-    """Complement too large for exhaustive enumeration."""
-
-
 @dataclass(frozen=True)
 class GlobaltestResult:
     members: tuple[int, ...]
@@ -72,7 +68,7 @@ def full_closed_test(stats: FeatureStats, provider: SpectrumProvider, R, F,
     base, top = _nested_sorted(stats, R, F)
     comp = sorted(set(top) - set(base))
     if len(comp) > cap:
-        raise EnumerationCapError(
+        raise ValueError(
             f"complement size {len(comp)} exceeds the enumeration cap {cap}")
 
     exact = ExactTester(stats, provider, alpha)

@@ -4,7 +4,8 @@ Data tables are comma- or tab-delimited text with a header row and
 samples as rows (delimiter autodetected from the header).  One column is
 the response; any named confounder columns are taken as covariates; all
 remaining columns are features.  Missing values are not supported; an
-empty cell is a fatal parse error.
+empty cell is a fatal parse error.  Every refused input raises ValueError;
+a fault on one line of a file names it with a ``path:line:`` prefix.
 
 Pathway collections use the tab-separated line format
 ``name<TAB>description<TAB>member1<TAB>member2...``.
@@ -29,32 +30,6 @@ RESULT_COLUMNS = ("set_name", "size", "resolved_size", "level", "statistic",
                   "witness_or_empty")
 
 
-class DataFormatError(ValueError):
-    """Malformed input file."""
-
-
-class MalformedLineError(DataFormatError):
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
-
-
-class MissingColumnError(DataFormatError):
-    pass
-
-
-class NonBinaryResponseError(DataFormatError):
-    pass
-
-
-class Log2DomainError(DataFormatError):
-    pass
-
-
-class DuplicatePathwayError(DataFormatError):
-    pass
-
-
 @dataclass(frozen=True)
 class RawTable:
     """Parsed delimited text: header names plus string-valued cells."""
@@ -70,7 +45,7 @@ class RawTable:
         try:
             j = self.columns.index(name)
         except ValueError:
-            raise MissingColumnError(
+            raise ValueError(
                 f"column {name!r} not found (have: {', '.join(self.columns)})"
             ) from None
         return tuple(row[j] for row in self.rows)
@@ -83,33 +58,31 @@ def read_table(path) -> RawTable:
     with open(path, newline="", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line.strip():
-            raise DataFormatError(f"{path}: empty file")
+            raise ValueError(f"{path}: empty file")
         delim = "\t" if "\t" in header_line else ","
         fh.seek(0)
         reader = csv.reader(fh, delimiter=delim)
         header = [c.strip() for c in next(reader)]
         if any(not c for c in header):
-            raise DataFormatError(f"{path}: blank column name in header")
+            raise ValueError(f"{path}: blank column name in header")
         if len(set(header)) != len(header):
-            raise DataFormatError(f"{path}: duplicate column names in header")
+            raise ValueError(f"{path}: duplicate column names in header")
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             cells = tuple(c.strip() for c in row)
             if len(cells) != len(header):
-                raise MalformedLineError(
-                    path, line_no,
-                    f"expected {len(header)} cells, found {len(cells)}")
+                raise ValueError(f"{path}:{line_no}: expected {len(header)} "
+                                 f"cells, found {len(cells)}")
             for name, cell in zip(header, cells):
                 if cell == "":
-                    raise MalformedLineError(
-                        path, line_no,
-                        f"empty cell in column {name!r} (missing values are "
-                        "not supported)")
+                    raise ValueError(
+                        f"{path}:{line_no}: empty cell in column {name!r} "
+                        "(missing values are not supported)")
             rows.append(cells)
     if not rows:
-        raise DataFormatError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return RawTable(columns=tuple(header), rows=tuple(rows), delimiter=delim)
 
 
@@ -119,7 +92,7 @@ def _parse_float_column(table: RawTable, name: str) -> np.ndarray:
         try:
             vals[i] = float(cell)
         except ValueError:
-            raise DataFormatError(
+            raise ValueError(
                 f"column {name!r}, row {i + 1}: non-numeric value {cell!r}"
             ) from None
     return vals
@@ -134,7 +107,7 @@ def _encode_response(cells) -> tuple[np.ndarray, tuple[str, str]]:
     """
     distinct = list(dict.fromkeys(cells))
     if len(distinct) != 2:
-        raise NonBinaryResponseError(
+        raise ValueError(
             f"response must take exactly two distinct values, found "
             f"{len(distinct)}: {distinct[:5]}")
     try:
@@ -143,7 +116,7 @@ def _encode_response(cells) -> tuple[np.ndarray, tuple[str, str]]:
         as_float = None
     if as_float is not None:
         if set(as_float.values()) != {0.0, 1.0}:
-            raise NonBinaryResponseError(
+            raise ValueError(
                 "numeric response must be coded 0/1, found "
                 f"{sorted(as_float.values())}")
         label0 = next(v for v in distinct if as_float[v] == 0.0)
@@ -166,7 +139,7 @@ def _normalize(X: np.ndarray, names, how: str) -> np.ndarray:
     if how == "log2":
         bad = [names[j] for j in range(X.shape[1]) if np.any(X[:, j] <= 0)]
         if bad:
-            raise Log2DomainError(
+            raise ValueError(
                 "log2 normalization requires strictly positive values; "
                 f"offending columns: {', '.join(bad[:5])}")
         return np.log2(X)
@@ -188,16 +161,16 @@ def load_dataset(table: RawTable, response: str, confounders=(),
     confounders = list(confounders)
     for name in [response, *confounders]:
         if name not in table.columns:
-            raise MissingColumnError(
-                f"column {name!r} not found (have: {', '.join(table.columns)})")
+            raise ValueError(f"column {name!r} not found "
+                             f"(have: {', '.join(table.columns)})")
     if response in confounders:
-        raise DataFormatError("response column cannot also be a confounder")
+        raise ValueError("response column cannot also be a confounder")
     y, labels = _encode_response(table.column(response))
     taken = {response, *confounders}
     feature_names = [c for c in table.columns if c not in taken]
     if not feature_names:
-        raise DataFormatError("no feature columns left after response and "
-                              "confounders are removed")
+        raise ValueError("no feature columns left after response and "
+                         "confounders are removed")
     X = np.column_stack([_parse_float_column(table, c) for c in feature_names])
     X = _normalize(X, feature_names, normalization)
     n = table.n_rows
@@ -223,7 +196,7 @@ class PathwayCollection:
         counts = Counter(p.name for p in self.pathways)
         dupes = {n for n, c in counts.items() if c > 1}
         if dupes:
-            raise DuplicatePathwayError(
+            raise ValueError(
                 f"duplicate pathway names: {', '.join(sorted(dupes)[:5])}")
 
     def __len__(self) -> int:
@@ -245,12 +218,11 @@ def load_pathways(path) -> PathwayCollection:
                 continue
             parts = line.split("\t")
             if len(parts) < 2:
-                raise MalformedLineError(
-                    path, line_no,
-                    "expected name<TAB>description<TAB>members...")
+                raise ValueError(f"{path}:{line_no}: expected "
+                                 "name<TAB>description<TAB>members...")
             name = parts[0].strip()
             if not name:
-                raise MalformedLineError(path, line_no, "empty pathway name")
+                raise ValueError(f"{path}:{line_no}: empty pathway name")
             members = tuple(m.strip() for m in parts[2:] if m.strip())
             pathways.append(Pathway(name=name, description=parts[1].strip(),
                                     members=members))
@@ -294,8 +266,8 @@ def fmt_value(value) -> str:
 
 
 def format_result_rows(rows) -> list[dict]:
-    """Rows of result-column dicts, ready for writing; witness sets are
-    feature names joined with '+', the empty string when absent."""
+    """Each row's RESULT_COLUMNS cells as fmt_value renders them, ready
+    for writing."""
     return [{c: fmt_value(row[c]) for c in RESULT_COLUMNS} for row in rows]
 
 

@@ -31,10 +31,6 @@ EIG_CLAMP_REL_TOL = 1e-10
 PROVIDER_CACHE_CAP = 10_000
 
 
-class RankDeficientError(ValueError):
-    """Confounder matrix does not have full column rank."""
-
-
 class NumericalBreakdownError(RuntimeError):
     """Quadratic form produced an eigenvalue below the negative tolerance."""
 
@@ -181,7 +177,7 @@ def fit_null(dataset: Dataset) -> NullModel:
     IRLS on the log-likelihood, started at zero coefficients, declared
     converged when the largest coefficient change drops below IRLS_TOL
     within IRLS_MAX_ITER iterations.
-    Raises RankDeficientError for a rank-deficient confounder matrix;
+    Raises ValueError for a rank-deficient confounder matrix;
     warns (SeparationWarning) when the fit hits the iteration cap.  Means
     outside [1e-6, 1 - 1e-6] are clamped, converged or not.
     """
@@ -189,7 +185,7 @@ def fit_null(dataset: Dataset) -> NullModel:
     R = np.linalg.qr(Z, mode="r")
     diag = np.abs(np.diag(R))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise RankDeficientError(
+        raise ValueError(
             "confounder matrix is rank deficient (collinear columns)")
 
     gamma = np.zeros(Z.shape[1])

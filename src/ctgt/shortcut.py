@@ -61,14 +61,6 @@ BOUND_REL_SLACK = 1e-9
 CONDENSE_REL_TOL = 5e-3
 
 
-class InfeasibleLevelError(ValueError):
-    """No majorizing vector exists at the requested level."""
-
-
-class TargetOutOfRangeError(ValueError):
-    """Curve inversion target lies outside the curve's value range."""
-
-
 def _alpha_checked(alpha: float) -> float:
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 0.5)")
@@ -157,7 +149,7 @@ class PiecewiseCurve:
         arr = np.atleast_1d(arr)
         tol = 1e-9 * max(1.0, self.top_level)
         if np.any(arr < self.base_level - tol) or np.any(arr > self.top_level + tol):
-            raise TargetOutOfRangeError("level outside the curve's range")
+            raise ValueError("level outside the curve's range")
         arr = np.clip(arr, self.base_level, self.top_level)
         out = np.interp(arr, self.levels, self.stats)
         return float(out[0]) if scalar else out
@@ -188,12 +180,12 @@ def inverse_gmin(curve: PiecewiseCurve, target: float) -> float:
     """Largest level at which the curve equals `target`.
 
     On flat segments this is the supremum (right edge of the flat run).
-    Targets outside [base_stat, top_stat] raise TargetOutOfRangeError;
+    Targets outside [base_stat, top_stat] raise ValueError;
     a 1e-9-relative float tolerance is absorbed by clipping.
     """
     tol = 1e-9 * max(1.0, curve.top_stat)
     if target < curve.base_stat - tol or target > curve.top_stat + tol:
-        raise TargetOutOfRangeError(
+        raise ValueError(
             f"target {target!r} outside curve value range "
             f"[{curve.base_stat!r}, {curve.top_stat!r}]")
     target = min(max(target, curve.base_stat), curve.top_stat)
@@ -268,13 +260,13 @@ def majorizing_vector(lambda_R: np.ndarray, lambda_F: np.ndarray,
     n = lam_r.size
     scale = max(1.0, float(lam_f[0]))
     if np.any(lam_r > lam_f + 1e-8 * scale):
-        raise InfeasibleLevelError(
+        raise ValueError(
             "base spectrum exceeds universe spectrum entrywise; "
             "inputs are not a nested pair")
     lo, hi = float(lam_r.sum()), float(lam_f.sum())
     tol = 1e-9 * max(1.0, hi)
     if ell < lo - tol or ell > hi + tol:
-        raise InfeasibleLevelError(
+        raise ValueError(
             f"level {ell!r} outside the feasible range [{lo!r}, {hi!r}]")
     ell = min(max(float(ell), lo), hi)
 

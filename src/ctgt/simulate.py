@@ -7,12 +7,10 @@ from functools import partial
 
 import numpy as np
 
-from .bnb import (DEFAULT_MAX_ITERATIONS, REJECT, _ordered_map,
-                  iterative_shortcut)
-from .linmodel import (Dataset, RankDeficientError, SpectrumProvider,
-                       feature_stats, fit_null)
-from .shortcut import (ExactTester, InfeasibleLevelError,
-                       TargetOutOfRangeError, _alpha_checked)
+from .bnb import (DEFAULT_MAX_ITERATIONS, REJECT, _budget_checked,
+                  _ordered_map, iterative_shortcut)
+from .linmodel import Dataset, SpectrumProvider, feature_stats, fit_null
+from .shortcut import ExactTester, _alpha_checked
 
 MAX_REDRAWS = 100
 # random_index_sets draws sizes from this up to half the features
@@ -76,9 +74,7 @@ def random_index_sets(m: int, n_sets: int, rng: np.random.Generator
 class FwerSummary:
     """Outcome of a family-wise error rate simulation."""
     replicates: int
-    n_failed: int                 # replicates aborted by a RuntimeError or a
-                                  # RankDeficient/InfeasibleLevel/
-                                  # TargetOutOfRange error
+    n_failed: int                 # replicates aborted by a RuntimeError
     n_any_false_rejection: int
     fwer_estimate: float
     std_error: float              # binomial SE of the estimate
@@ -125,8 +121,7 @@ def _one_replicate(n, m, n_pathways, effect, n_signal, alpha,
             null_sets += 1
             false_hits += rejected
         return false_hits, null_sets, true_hits
-    except (RuntimeError, RankDeficientError, InfeasibleLevelError,
-            TargetOutOfRangeError):
+    except RuntimeError:
         return None
 
 
@@ -154,14 +149,13 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
     A replicate counts in `n_failed` instead of the estimate when drawing
     its data, fitting its null, testing its universe or deciding any one
     of its sets raises RuntimeError (SeriesStallError,
-    NumericalBreakdownError and a failed two-class redraw among them),
-    RankDeficientError, InfeasibleLevelError or TargetOutOfRangeError.
-    Any other ValueError is a caller error, such as an alpha outside
-    (0, 0.5), and propagates; fewer than one replicate or pathway, or
-    fewer than RANDOM_SET_MIN_SIZE features, is refused before any
-    replicate runs.  A run in which no completed replicate drew a
-    true-null set (every set overlaps the signal) has no FWER to
-    estimate and raises ValueError.
+    NumericalBreakdownError and a failed two-class redraw among them).
+    A ValueError is a refused input and propagates.  An alpha outside
+    (0, 0.5), fewer than one replicate or pathway, fewer than
+    RANDOM_SET_MIN_SIZE features, a budget below one iteration or fewer
+    than one worker is refused before any replicate runs.  A run in
+    which no completed replicate drew a true-null set (every set
+    overlaps the signal) has no FWER to estimate and raises ValueError.
     """
     alpha = _alpha_checked(alpha)
     if replicates < 1:
@@ -170,6 +164,7 @@ def fwer_simulation(n: int = 50, m: int = 20, n_pathways: int = 30,
         raise ValueError("n_pathways must be at least 1")
     if m < RANDOM_SET_MIN_SIZE:
         raise ValueError(f"need at least {RANDOM_SET_MIN_SIZE} features")
+    max_iterations = _budget_checked(max_iterations)
     children = np.random.SeedSequence(seed).spawn(replicates)
     outcomes = _ordered_map(partial(_one_replicate, n, m, n_pathways, effect,
                                     n_signal, alpha, max_iterations),

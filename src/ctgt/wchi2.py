@@ -109,10 +109,6 @@ class SeriesStallError(RuntimeError):
     """
 
 
-class MajorizationError(ValueError):
-    """The claimed majorizing vector does not majorize the other one."""
-
-
 def _as_weights(lam) -> np.ndarray:
     """An array-like of weights as a flat float array, sorted descending."""
     return np.sort(np.asarray(lam, dtype=float).ravel())[::-1]
@@ -451,13 +447,13 @@ def alpha0_diagnostic(lambda_true, lambda_major) -> float:
     the grid end means the crossing lies beyond the scan, reported as the
     tail probability there.
 
-    Raises MajorizationError when lambda_major does not majorize
+    Raises ValueError when lambda_major does not majorize
     lambda_true (partial-sum check, tolerance 1e-8 relative to the level).
     """
     lam_t = _as_weights(lambda_true)
     lam_m = _as_weights(lambda_major)
     if not majorizes(lam_m, lam_t):
-        raise MajorizationError(
+        raise ValueError(
             "second argument must majorize the first (partial sums dip by "
             f"{-partial_sum_gap(lam_m, lam_t):.3e})")
     pad_t, pad_m = padded_pair(lam_t, lam_m)

@@ -275,6 +275,23 @@ def test_analyze_collection_reports_non_integral_members_as_errors():
     assert rows[1].decision == "reject"
 
 
+@pytest.mark.parametrize("limit, message", [
+    ({"max_iterations": 0}, "max_iterations must be at least 1"),
+    ({"workers": 0}, "workers must be at least 1"),
+    ({"workers": -5}, "workers must be at least 1"),
+], ids=["max_iterations=0", "workers=0", "workers=-5"])
+def test_analyze_collection_refuses_bad_run_limits_before_any_set(
+        limit, message, monkeypatch):
+    data, null, stats, provider = make_instance(seed=482, n=30, m=6)
+
+    def no_set(*args):
+        raise AssertionError("a set ran")
+
+    monkeypatch.setattr(ctgt.bnb, "_analyze_one", no_set)
+    with pytest.raises(ValueError, match=message):
+        analyze_collection(stats, provider, [("a", (0, 1))], 0.05, **limit)
+
+
 def test_analyze_collection_rows_only_typed_failures(monkeypatch):
     data, null, stats, provider = make_instance(seed=482, n=30, m=6)
     jobs = [("a", (0, 1)), ("b", (2, 3))]

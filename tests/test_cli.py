@@ -115,6 +115,24 @@ def test_non_finite_data_is_a_clean_error(tmp_path, capsys):
                                 "feature column(s): f2, f4\n")
 
 
+@pytest.mark.parametrize("command", [["test"], ["oracle"],
+                                     ["curves", "--samples", "5"]],
+                         ids=["test", "oracle", "curves"])
+def test_set_commands_report_dropped_inactive_members(tmp_path, capsys,
+                                                      command):
+    _write_dataset(tmp_path / "d.csv", n=40, m=4)
+    rows = (tmp_path / "d.csv").read_text().splitlines()
+    rows = [rows[0] + ",c"] + [row + ",1" for row in rows[1:]]   # constant
+    (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+    code = main([*command, "--data", str(tmp_path / "d.csv"),
+                 "--response", "y", "--set", "f1,c"])
+    assert code in (0, 2)
+    lines = capsys.readouterr().out.splitlines()
+    config = [line.startswith("#   ") for line in lines].index(False, 1)
+    assert lines[0] == "# configuration"
+    assert lines[config] == "# inactive members dropped: c"
+
+
 def test_missing_response_column_is_exit_one(tmp_path, capsys):
     _write_dataset(tmp_path / "d.csv")
     code = main(["test", "--data", str(tmp_path / "d.csv"),

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctgt
-from ctgt import (FeatureStats, InfeasibleLevelError, TargetOutOfRangeError,
-                  WeightedChiSq, cmax, crossing_test, curve_table,
-                  full_closed_test, gmin_curve, level, majorizing_vector,
-                  single_step)
+from ctgt import (FeatureStats, WeightedChiSq, cmax, crossing_test,
+                  curve_table, full_closed_test, gmin_curve, level,
+                  majorizing_vector, single_step)
 from ctgt.shortcut import inverse_gmin
 from ctgt.wchi2 import majorizes
 
@@ -64,9 +63,11 @@ def test_inverse_hand_example():
     assert inverse_gmin(curve, 7.0) == pytest.approx(4.0)
     assert inverse_gmin(curve, 5.0) == pytest.approx(1.0)
     assert inverse_gmin(curve, 11.0) == pytest.approx(6.0)
-    with pytest.raises(TargetOutOfRangeError):
+    with pytest.raises(ValueError, match="target 11.5 outside curve value "
+                                         "range"):
         inverse_gmin(curve, 11.5)
-    with pytest.raises(TargetOutOfRangeError):
+    with pytest.raises(ValueError, match="target 4.0 outside curve value "
+                                         "range"):
         inverse_gmin(curve, 4.0)
 
 
@@ -162,11 +163,12 @@ def test_majorizing_vector_level_and_feasibility():
     mid = 0.5 * (lam_r.sum() + lam_f.sum())
     vec = majorizing_vector(lam_r, lam_f, mid)
     assert vec.sum() == pytest.approx(mid, rel=1e-9)
-    with pytest.raises(InfeasibleLevelError):
+    with pytest.raises(ValueError, match="outside the feasible range"):
         majorizing_vector(lam_r, lam_f, lam_r.sum() * 0.5)
-    with pytest.raises(InfeasibleLevelError):
+    with pytest.raises(ValueError, match="outside the feasible range"):
         majorizing_vector(lam_r, lam_f, lam_f.sum() * 1.5)
-    with pytest.raises(InfeasibleLevelError):
+    with pytest.raises(ValueError, match="base spectrum exceeds universe "
+                                         "spectrum entrywise"):
         majorizing_vector(lam_f, lam_r, mid)     # swapped: not nested
 
 

@@ -4,30 +4,48 @@ import numpy as np
 import pytest
 
 import ctgt
-from ctgt import SeriesStallError, fwer_simulation
+from ctgt import NumericalBreakdownError, SeriesStallError, fwer_simulation
 from ctgt.shortcut import ExactTester
 from ctgt.simulate import random_index_sets
 
 
-def test_a_set_that_raises_fails_its_replicate(monkeypatch):
+def _third_set_raises(monkeypatch, failure):
+    """Make the third iterative_shortcut call of a run raise `failure`."""
     real = ctgt.simulate.iterative_shortcut
     calls = []
 
-    def one_set_stalls(stats, provider, R, *args, **kwargs):
+    def third_set_raises(stats, provider, R, *args, **kwargs):
         calls.append(R)
         if len(calls) == 3:
-            raise SeriesStallError("stalled")
+            raise failure("the third set failed")
         return real(stats, provider, R, *args, **kwargs)
 
-    monkeypatch.setattr(ctgt.simulate, "iterative_shortcut", one_set_stalls)
-    # a strong effect: all three universes reject, so every set is decided
-    # and the third call falls in the first replicate, whose 4 sets hold 2
-    # true nulls; the other two replicates hold 2 and 4
-    summary = fwer_simulation(n=30, m=5, n_pathways=4, replicates=3,
-                              effect=3.0, seed=2)
+    monkeypatch.setattr(ctgt.simulate, "iterative_shortcut", third_set_raises)
+
+
+# a strong effect: all three universes reject, so every set is decided
+# and the third call falls in the first replicate, whose 4 sets hold 2
+# true nulls; the other two replicates hold 2 and 4
+_THREE_DECIDED = dict(n=30, m=5, n_pathways=4, replicates=3, effect=3.0,
+                      seed=2)
+
+
+@pytest.mark.parametrize(
+    "failure", [SeriesStallError, NumericalBreakdownError, RuntimeError],
+    ids=lambda failure: failure.__name__)
+def test_a_set_that_raises_fails_its_replicate(failure, monkeypatch):
+    _third_set_raises(monkeypatch, failure)
+    summary = fwer_simulation(**_THREE_DECIDED)
     assert summary.n_failed == 1
     assert summary.replicates == 2
     assert summary.total_null_sets == 6
+
+
+def test_a_set_refused_as_input_propagates_instead_of_failing(monkeypatch):
+    # a ValueError is a refused input, never a failed replicate
+    _third_set_raises(monkeypatch, ValueError)
+    with pytest.raises(ValueError, match="the third set failed"):
+        fwer_simulation(**_THREE_DECIDED)
 
 
 def _decide_every_set(n, m, n_pathways, effect, n_signal, alpha, seed,
@@ -98,6 +116,22 @@ def test_worker_processes_give_the_serial_summary():
 def test_fewer_than_one_pathway_is_refused(n_pathways):
     with pytest.raises(ValueError, match="n_pathways must be at least 1"):
         fwer_simulation(n_pathways=n_pathways, replicates=3, seed=1)
+
+
+@pytest.mark.parametrize("limit, message", [
+    ({"max_iterations": 0}, "max_iterations must be at least 1"),
+    ({"workers": 0}, "workers must be at least 1"),
+    ({"workers": -5}, "workers must be at least 1"),
+], ids=["max_iterations=0", "workers=0", "workers=-5"])
+def test_bad_run_limits_are_refused_before_any_replicate(limit, message,
+                                                         monkeypatch):
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(ctgt.simulate, "_one_replicate", no_replicate)
+    with pytest.raises(ValueError, match=message):
+        fwer_simulation(n=50, m=20, n_pathways=5, replicates=5, seed=1,
+                        **limit)
 
 
 def test_fewer_features_than_a_random_set_are_refused(monkeypatch):
