@@ -169,11 +169,14 @@ def analyze_collection(stats: FeatureStats, provider: SpectrumProvider,
     The universe is the set of all active features.  Sets with no members
     or no active member are reported as skipped; per-set errors, an
     out-of-range member index among them, become `error` rows carrying
-    the message rather than aborting the batch.  With `workers` > 1 the
-    sets run in worker processes, each with its own copy of `provider`;
-    rows and their order do not depend on the worker count.  An alpha
-    outside (0, 0.5), a budget below one iteration, fewer than one worker
-    or a dataset without active features is refused before any set runs.
+    the message rather than aborting the batch.  With `workers` > 1 each
+    set is pickled with `stats` and `provider` to a worker process, where
+    it rebuilds the Gram matrix and the universe's spectrum and series;
+    that measured slower than serial at every scale, and the path stays
+    only until the benchmark stops passing workers=1.  Rows do not depend
+    on the worker count.  An alpha outside (0, 0.5), a budget below one
+    iteration, fewer than one worker or a dataset without active features
+    is refused before any set runs.
     """
     alpha = _alpha_checked(alpha)
     max_iterations = _budget_checked(max_iterations)

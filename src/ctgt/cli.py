@@ -45,18 +45,12 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    default="none", help="feature normalization")
 
 
-def _add_run_args(p: argparse.ArgumentParser, budget: bool = True,
-                  workers: bool = False) -> None:
+def _add_run_args(p: argparse.ArgumentParser, budget: bool = True) -> None:
     p.add_argument("--alpha", type=float, default=0.05,
                    help="significance level, in (0, 0.5)")
     if budget:
         p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
                        dest="max_iter", help="iteration budget per tested set")
-    if workers:
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes; each costs about half a "
-                            "second to start, so they pay off only for "
-                            "batches that run for many seconds serially")
 
 
 def _add_set_arg(p: argparse.ArgumentParser) -> None:
@@ -78,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run a pathway collection")
     _add_data_args(p)
-    _add_run_args(p, workers=True)
+    _add_run_args(p)
     p.add_argument("--pathways", required=True, help="pathway file")
     p.add_argument("--singletons", action="store_true",
                    help="also test every feature as a singleton set")
@@ -102,7 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest complement size to enumerate")
 
     p = sub.add_parser("simulate", help="estimate error rates on drawn data")
-    _add_run_args(p, workers=True)
+    _add_run_args(p)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes; each costs about half a second "
+                        "to start, so they pay off only for batches that "
+                        "run for many seconds serially")
     p.add_argument("--n", type=int, default=50, help="samples per replicate")
     p.add_argument("--m", type=int, default=20, help="features per replicate")
     p.add_argument("--n-pathways", type=int, default=30, dest="n_pathways",
@@ -239,8 +237,7 @@ def cmd_analyze(args) -> int:
         jobs += [(name, (j,)) for j, name in enumerate(data.feature_names)]
         listed_sizes += [1] * len(data.feature_names)
     rows = analyze_collection(stats, provider, jobs, args.alpha,
-                              max_iterations=args.max_iter,
-                              workers=args.workers)
+                              max_iterations=args.max_iter)
     row_dicts = [_collection_row_dict(r, data, n)
                  for r, n in zip(rows, listed_sizes)]
     counts = Counter(r.decision for r in rows)

@@ -282,8 +282,8 @@ class SpectrumProvider:
     eigenvalues.  One dict, keyed by frozenset of feature indices, holds
     each set's spectrum and, once requested, its distribution.  It keeps
     at most PROVIDER_CACHE_CAP entries; a new set beyond that drops the
-    oldest.  A provider is used from one thread; batch functions with
-    workers > 1 give each worker process its own copy.
+    oldest.  A provider is used from one thread; analyze_collection with
+    workers > 1 sends a fresh copy with every set (see there).
     """
 
     def __init__(self, dataset: Dataset, null: NullModel):

@@ -459,16 +459,18 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
     """One shortcut pass for R within universe F.
 
     Decision order: exact tests of R and F (either failing is a witness);
-    immediate rejection when R's statistic clears F's critical value; the
-    probe, an exact test of the interior staircase set whose approximate
-    p-value (likeliest_failing_step) is largest, run only when that
-    p-value exceeds alpha (a failure is a witness, and no critical
-    envelope is built); the crossing test; on a crossing, exact tests of
-    the other staircase sets between R and F at or below the level where
-    the crossing iteration stopped (first failure is a witness, all
-    passing leaves UNSURE).  The staircase endpoints, staircase 0 and the
-    last, are R and F, which have already passed.  A probe witness is a
-    failing superset, not necessarily the smallest.
+    then the probe, an exact test of the interior staircase set whose
+    approximate p-value (likeliest_failing_step) is largest, run only
+    when that p-value exceeds alpha (a failure is a witness, and no
+    critical envelope is built); then the crossing test; then, on a
+    crossing, exact tests of the other staircase sets between R and F
+    at or below the level where the crossing iteration stopped (first
+    failure is a witness, all passing leaves UNSURE).  The staircase
+    endpoints, staircase 0 and the last, are R and F, which have already
+    passed.  A probe witness is a failing superset, not necessarily the
+    smallest.  A step rejects only when R == F or the crossing ends
+    ABOVE, at its first evaluation when R's statistic clears F's
+    critical value.
 
     Staircase sets above the stop level are not tested.  Between two
     consecutive visited levels the statistic envelope stays at or above
@@ -505,12 +507,6 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
     if base == top:
         return SingleStepResult(REJECT, None, 0, exact.n_tests)
 
-    g_base = exact.statistic(base)
-    dist_top = provider.dist(top)
-    if dist_top.cdf(g_base) >= 1.0 - alpha:
-        # R's statistic alone beats the universe's critical value
-        return SingleStepResult(REJECT, None, 0, exact.n_tests)
-
     curve = gmin_curve(stats, base, top)
     probed = 0                # staircase index already tested, 0 if none
     if len(curve.order) > 1:
@@ -524,7 +520,7 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
 
     lam_base = provider.spectrum(base)
     lam_top = provider.spectrum(top)
-    c_top = dist_top.quantile(1.0 - alpha)
+    c_top = provider.dist(top).quantile(1.0 - alpha)
 
     def envelope(ell: float) -> float:
         if ell == curve.top_level:

@@ -2,6 +2,7 @@
 decision rule, checked against exhaustive enumeration on small universes."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +297,52 @@ def test_probe_runs_no_exact_test_when_every_approximation_passes():
     assert res.decision == "reject"
     assert res.n_cmax_evals > 0
     assert res.n_exact_tests == 2
+
+
+def test_a_stalling_universe_series_does_not_stop_a_probe_witness():
+    # at m = n the universe's spectrum is too ill-conditioned for its
+    # series, but its exact test passes by the tail bound and the probe
+    # finds a witness before the crossing would need its distribution
+    rng = np.random.default_rng(0)
+    n = m = 40
+    y = np.repeat([0.0, 1.0], 20)
+    X = rng.standard_normal((n, m))
+    X[y == 1, :10] += 1.0
+    data = ctgt.Dataset(y=y, Z=np.ones((n, 1)), X=X,
+                        feature_names=tuple(f"f{j}" for j in range(m)),
+                        sample_ids=tuple(str(i) for i in range(n)))
+    null = ctgt.fit_null(data)
+    stats = ctgt.feature_stats(data, null)
+    provider = ctgt.SpectrumProvider(data, null)
+    F = active_universe(stats)
+    tester = ctgt.ExactTester(stats, provider, 0.05)
+    for R, size in [((0, 1), 22), ((0, 1, 2), 26)]:
+        res = single_step(stats, provider, R, F, 0.05)
+        assert res.decision == "not_reject"
+        assert len(res.witness) == size
+        assert set(R) <= set(res.witness) <= set(F)
+        assert not tester.reject(res.witness)
+    rows = ctgt.analyze_collection(stats, provider,
+                                   [("a", (0, 1)), ("b", (0, 1, 2))], 0.05)
+    assert [r.decision for r in rows] == ["not_reject", "not_reject"]
+
+
+def test_a_base_clearing_the_universe_critical_value_ends_above_at_once():
+    # R's statistic alone clears F's critical value, so the crossing's
+    # first evaluation, F's own critical value, ends it ABOVE
+    table = ctgt.read_table(str(Path(__file__).parent / "data"
+                                / "toy100x5.csv"))
+    data = ctgt.load_dataset(table, "y")
+    null = ctgt.fit_null(data)
+    stats = ctgt.feature_stats(data, null)
+    provider = ctgt.SpectrumProvider(data, null)
+    F = active_universe(stats)
+    R = (data.feature_names.index("f1"), data.feature_names.index("f2"))
+    assert ctgt.ExactTester(stats, provider, 0.05).statistic(R) >= \
+        provider.dist(F).quantile(0.95)
+    res = single_step(stats, provider, R, F, 0.05)
+    assert res.decision == "reject"
+    assert res.n_cmax_evals == 1
 
 
 def test_crossing_strong_signal_is_above_in_one_evaluation():
