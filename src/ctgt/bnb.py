@@ -14,10 +14,8 @@ monotone in the budget: extra iterations never flip a sure decision.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -118,6 +116,9 @@ def _ordered_map(fn, items: list, workers: int) -> list:
         raise ValueError("workers must be at least 1")
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: the pool modules add some 2 MB to every process
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
     with ProcessPoolExecutor(min(workers, len(items)),
                              mp_context=get_context("spawn")) as pool:
         return list(pool.map(fn, items))

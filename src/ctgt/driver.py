@@ -2,8 +2,10 @@
 
 The brute-force path enumerates every superset of the tested set and
 checks each against its own critical value.  It is exponential in the
-complement size and exists to validate the shortcut, not to be fast;
-the enumeration is capped accordingly.
+complement size and exists to validate the shortcut, so the enumeration
+is capped; within the cap it tail-bounds a block of supersets in one
+numpy pass (ExactTester.first_failure), and only the sets that bound
+leaves undecided build their null distributions.
 """
 
 from __future__ import annotations
@@ -61,26 +63,33 @@ def full_closed_test(stats: FeatureStats, provider: SpectrumProvider, R, F,
     selects the j-th complement feature, complement sorted ascending), so
     R itself comes first and the reported first_failure is the
     lowest-order failing superset.  Stops at the first failure.  Each
-    superset is decided by ExactTester.reject, the exact test the
+    superset is decided by ExactTester's exact test, the one the
     shortcut uses, so agreement checks carry no cross-method tolerance.
+
+    ExactTester.first_failure evaluates the Chernoff tail bound for
+    shortcut.BOUND_BLOCK supersets at a time from one Gram block of F, so
+    memory stays at one block of |F|-float rows however large the cap.
+    Its sums differ from the per-set ones by rounding only, which
+    shortcut.BOUND_REL_SLACK covers; the supersets the bound leaves
+    undecided take the per-set path in counting order.  So the decision,
+    first_failure and n_tests are those of one ExactTester.reject call
+    per superset, and n_by_bound is too unless a superset's bound lies
+    within rounding of the threshold.  A negative cap is refused.
     """
     alpha = _alpha_checked(alpha)
+    if cap < 0:
+        raise ValueError(f"the enumeration cap must be at least 0, got {cap}")
     base, top = _nested_sorted(stats, R, F)
-    comp = sorted(set(top) - set(base))
+    comp = tuple(sorted(set(top) - set(base)))
     if len(comp) > cap:
         raise ValueError(
             f"complement size {len(comp)} exceeds the enumeration cap {cap}")
 
     exact = ExactTester(stats, provider, alpha)
-    for mask in range(1 << len(comp)):
-        extra = tuple(comp[j] for j in range(len(comp)) if mask >> j & 1)
-        members = tuple(sorted(base + extra))
-        if not exact.reject(members):
-            return OracleResult(decision=NOT_REJECT, n_tests=exact.n_tests,
-                                first_failure=members,
-                                n_by_bound=exact.n_by_bound)
-    return OracleResult(decision=REJECT, n_tests=exact.n_tests,
-                        first_failure=None, n_by_bound=exact.n_by_bound)
+    failure = exact.first_failure(base, comp)
+    return OracleResult(decision=REJECT if failure is None else NOT_REJECT,
+                        n_tests=exact.n_tests, first_failure=failure,
+                        n_by_bound=exact.n_by_bound)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .linmodel import FeatureStats, SpectrumProvider, _check_index_set
 from .wchi2 import (TRUNC_TOL, WeightedChiSq, chernoff_tail_bound,
@@ -56,6 +55,9 @@ CROSSING_STEP = 1e-4
 PROBE_MARGIN = 1e-4
 # relative rounding allowance on a computed tail bound
 BOUND_REL_SLACK = 1e-9
+# supersets whose tail bounds ExactTester.first_failure evaluates in one
+# numpy pass; its arrays hold a few times this many rows of |F| floats
+BOUND_BLOCK = 4096
 # majorizing-vector entries below this fraction of the largest get merged;
 # caps the weight ratio the mixture series must absorb
 CONDENSE_REL_TOL = 5e-3
@@ -226,6 +228,7 @@ def likeliest_failing_step(curve: PiecewiseCurve, provider: SpectrumProvider
     sq = staircase_square_sums(curve, provider)[1:-1]
     lev = curve.levels[1:-1]
     scale = sq / lev
+    from scipy import special     # imported on first use; see wchi2
     pvals = special.gammaincc(0.5 * lev / scale,
                               0.5 * curve.stats[1:-1] / scale)
     k = int(np.argmax(pvals))
@@ -380,12 +383,13 @@ class ExactTester:
     """The exact test of a feature set against its own null distribution.
 
     This is the one place a set's own statistic meets its own null:
-    single_step, globaltest and full_closed_test all decide through
-    `reject`.  The decision `statistic >= critical value` is evaluated as
-    `cdf(statistic) >= 1 - alpha`, the same comparison through the same
-    cdf without a quantile search.  The statistic sums the members' g in
-    the order given (callers pass ascending indices).  `n_tests` counts
-    calls to `reject`; `n_by_bound` counts those the tail bound decided.
+    single_step and globaltest decide through `reject`, full_closed_test
+    through `first_failure`.  The decision `statistic >= critical value`
+    is evaluated as `cdf(statistic) >= 1 - alpha`, the same comparison
+    through the same cdf without a quantile search.  The statistic sums
+    the members' g in the order given (callers pass ascending indices).
+    `n_tests` counts the sets tested; `n_by_bound` counts those the tail
+    bound decided.
 
     Before building the set's distribution, `reject` tries a rigorous
     Chernoff bound on the tail at the statistic (wchi2.chernoff_tail_bound),
@@ -415,8 +419,8 @@ class ExactTester:
     def statistic(self, S) -> float:
         return float(self._stats.g[list(S)].sum())
 
-    def _bound_passes(self, level: float, sq_sum: float, lam_bound: float,
-                      t: float) -> bool:
+    def _bound_passes(self, level, sq_sum, lam_bound, t):
+        """Whether the tail bound decides the test; elementwise on arrays."""
         bound = chernoff_tail_bound(level, sq_sum, lam_bound, t)
         # twice the computed cdf's largest error below the true one
         return (bound * (1.0 + BOUND_REL_SLACK) + 2.0 * TRUNC_TOL
@@ -440,6 +444,66 @@ class ExactTester:
             return True
         dist = self._provider.dist(S)
         return bool(dist.cdf(t) >= 1.0 - self._alpha)
+
+    def first_failure(self, base: tuple[int, ...], comp: tuple[int, ...]
+                      ) -> tuple[int, ...] | None:
+        """The first set base + some of comp, in counting order, that fails.
+
+        Bit j of a mask selects comp[j]; masks run 0, 1, 2, ..., so base
+        itself comes first.  Returns the failing set (ascending) or None
+        when all 2^|comp| sets pass; testing stops at the first failure.
+
+        The tail bound is evaluated for BOUND_BLOCK masks x at a time
+        from one Gram block G of base + comp, with b the base rows and
+        c the complement rows: t = g_b + x.g_c, L = w_b + x.w_c,
+        S2 = |G_bb|^2 + 2 x.colsum(G_bc * G_bc) + x'(G_cc * G_cc)x, and
+        M = min(sqrt(S2), the largest absolute row sum over the set's
+        rows).  These are the per-set inputs of `reject` summed in
+        another order, so they differ from them by rounding only, far
+        inside BOUND_REL_SLACK; a bound pass is one the series would also
+        give.  The sets the bound leaves undecided go through `reject` in
+        counting order, so the first failure and `n_tests` are those of
+        one `reject` call per set, and so is `n_by_bound` unless a set's
+        bound lies within rounding of the threshold.  Memory is one
+        block's arrays, whatever the size of comp.
+        """
+        b, c = len(base), len(comp)
+        idx = list(base + comp)
+        g, w = self._stats.g[idx], self._stats.w[idx]
+        G = self._provider.gram(idx)
+        sq, absG = G * G, np.abs(G)
+        sq_base = sq[:b, :b].sum()
+        sq_cross = 2.0 * sq[:b, b:].sum(axis=0)
+        row_base = absG[:b, :b].sum(axis=1)
+        row_comp = absG[b:, :b].sum(axis=1)
+        bits = 1 << np.arange(c)
+        n_sets = 1 << c
+        for start in range(0, n_sets, BOUND_BLOCK):
+            masks = np.arange(start, min(start + BOUND_BLOCK, n_sets))
+            x = ((masks[:, None] & bits) != 0).astype(float)
+            t = g[:b].sum() + x @ g[b:]
+            lvl = w[:b].sum() + x @ w[b:]
+            sq_sum = (sq_base + x @ sq_cross
+                      + ((x @ sq[b:, b:]) * x).sum(axis=1))
+            # complement rows outside the set count as 0; row sums are >= 0
+            max_row = np.maximum(
+                (row_base + x @ absG[b:, :b]).max(axis=1),
+                ((row_comp + x @ absG[b:, b:]) * x).max(axis=1, initial=0.0))
+            lam_bound = np.minimum(np.sqrt(sq_sum), max_row)
+            passed = self._bound_passes(lvl, sq_sum, lam_bound, t)
+            for k in np.flatnonzero(~passed):
+                mask = int(masks[k])
+                members = tuple(sorted(
+                    base + tuple(comp[j] for j in range(c) if mask >> j & 1)))
+                if not self.reject(members):
+                    n_bound = int(passed[:k].sum())
+                    self.n_tests += n_bound
+                    self.n_by_bound += n_bound
+                    return members
+            n_bound = int(passed.sum())
+            self.n_tests += n_bound
+            self.n_by_bound += n_bound
+        return None
 
 
 @dataclass(frozen=True)
@@ -518,14 +582,15 @@ def single_step(stats: FeatureStats, provider: SpectrumProvider, R, F,
                 return SingleStepResult(NOT_REJECT, step_set, 0,
                                         exact.n_tests)
 
-    lam_base = provider.spectrum(base)
     lam_top = provider.spectrum(top)
     c_top = provider.dist(top).quantile(1.0 - alpha)
 
     def envelope(ell: float) -> float:
         if ell == curve.top_level:
             return c_top
-        return cmax(lam_base, lam_top, ell, alpha)
+        # R's spectrum only below the top level: a crossing that ends
+        # ABOVE at once needs no eigendecomposition of R
+        return cmax(provider.spectrum(base), lam_top, ell, alpha)
 
     outcome = crossing_test(curve, envelope)
     if outcome.kind == ABOVE:

@@ -59,7 +59,10 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-from scipy import special
+
+# scipy.special is imported inside the functions that use it: it adds
+# some 25 MB and 0.1 s to a process, and a process whose every exact
+# test the tail bound decides builds no series and never needs it
 
 _LN2 = float(np.log(2.0))
 
@@ -153,6 +156,7 @@ def _log_normalizers(stop: int) -> np.ndarray:
     """The table of log(2^{m/2} Gamma(m/2)), covering at least m < stop."""
     global _log_norm_table
     if _log_norm_table.size < stop:
+        from scipy import special
         half_m = 0.5 * np.arange(max(stop, 2 * _log_norm_table.size))
         _log_norm_table = half_m * _LN2 + special.gammaln(half_m)
     return _log_norm_table
@@ -284,6 +288,7 @@ class WeightedChiSq:
         d = self._lam.size
         half_d = 0.5 * d
         coeffs = self._coeffs
+        from scipy import special
         f0 = special.gammainc(half_d, 0.5 * x)
         acc = coeffs[0] * f0
         if coeffs.size > 1:
@@ -326,6 +331,7 @@ class WeightedChiSq:
         lam = self._lam
         scale = float(np.sum(lam * lam) / np.sum(lam))
         dof = float(np.sum(lam)) / scale
+        from scipy import special
         t = max(2.0 * scale * float(special.gammaincinv(0.5 * dof, p)),
                 np.finfo(float).tiny)
         tol = QUANTILE_TOL
@@ -351,8 +357,7 @@ class WeightedChiSq:
         raise RuntimeError("quantile search failed")  # pragma: no cover
 
 
-def chernoff_tail_bound(level: float, sq_sum: float, lam_bound: float,
-                        t: float) -> float:
+def chernoff_tail_bound(level, sq_sum, lam_bound, t):
     """Upper bound on P(Q >= t) from three numbers, no spectrum needed.
 
     Q = sum_i lambda_i V_i as above, with level L = sum(lambda),
@@ -372,12 +377,18 @@ def chernoff_tail_bound(level: float, sq_sum: float, lam_bound: float,
     for t > L; for t <= L the bound is 1.  The exponent decreases in both
     S2 and M, so among r weights summing to L the bound is smallest for
     equal weights (S2 = L^2 / r, M = L / r).
+
+    The arguments may be arrays of one shape, one bound per entry;
+    scalar arguments give a float.  An entry is evaluated the same way
+    in either form.
     """
-    if t <= level:
-        return 1.0
+    # (x + |x|) / 2 is x for x > 0 and 0 otherwise, exactly and without
+    # a numpy call on floats; t <= L gives z = 0 and a bound of exactly 1
+    excess = t - level
+    z = 0.5 * (excess + abs(excess)) * lam_bound / sq_sum
     nu = sq_sum / (lam_bound * lam_bound)
-    z = (t - level) * lam_bound / sq_sum
-    return float(np.exp(-0.5 * nu * (z - np.log1p(z))))
+    bound = np.exp(-0.5 * nu * (z - np.log1p(z)))
+    return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
 def partial_sum_gap(major, minor) -> float:

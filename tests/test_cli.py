@@ -381,3 +381,14 @@ def test_subcommand_output_matches_its_committed_golden_output(
             if got_cell != want_cell:
                 assert float(got_cell) == pytest.approx(
                     float(want_cell), rel=1e-9), want_line
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("3", "error: complement size 4 exceeds the enumeration cap 3\n"),
+    ("-1", "error: the enumeration cap must be at least 0, got -1\n")])
+def test_oracle_refuses_a_cap_it_cannot_meet(cap, message, capsys,
+                                             monkeypatch):
+    monkeypatch.chdir(DATA_DIR)
+    code = main(["oracle", *_TOY, "--set", "f1", "--oracle-cap", cap])
+    assert code == 1
+    assert capsys.readouterr().err == message

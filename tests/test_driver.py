@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from ctgt import WeightedChiSq, alpha0_survey, full_closed_test, globaltest
+from ctgt import (WeightedChiSq, alpha0_survey, full_closed_test, globaltest,
+                  shortcut)
+from ctgt.shortcut import ExactTester
+from ctgt.wchi2 import SeriesStallError
 
 from conftest import active_universe, make_instance
 
@@ -114,6 +117,97 @@ def test_first_failure_is_first_in_counting_order():
     assert found > 0
 
 
+def _replay(stats, provider, R, F, alpha):
+    """(decision, n_tests, n_by_bound, first_failure) from one
+    ExactTester.reject call per superset in counting order."""
+    exact = ExactTester(stats, provider, alpha)
+    comp = sorted(set(F) - set(R))
+    for mask in range(1 << len(comp)):
+        S = tuple(sorted(R + tuple(comp[j] for j in range(len(comp))
+                                   if mask >> j & 1)))
+        if not exact.reject(S):
+            return ("not_reject", exact.n_tests, exact.n_by_bound, S)
+    return ("reject", exact.n_tests, exact.n_by_bound, None)
+
+
+def _oracle_tuple(stats, provider, R, F, alpha):
+    res = full_closed_test(stats, provider, R, F, alpha)
+    return (res.decision, res.n_tests, res.n_by_bound, res.first_failure)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 10_000),
+       shape=st.sampled_from([(30, 8, 0), (12, 10, 3)]),
+       alpha=st.sampled_from([0.01, 0.05, 0.2]),
+       effect=st.floats(0.0, 2.0))
+def test_block_pass_matches_a_per_set_replay(seed, shape, alpha, effect):
+    n, m, confounders = shape
+    data, null, stats, provider = make_instance(
+        seed=seed, n=n, m=m, effect=effect, n_signal=2,
+        confounders=confounders)
+    F = active_universe(stats)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, len(F) + 1))
+    R = tuple(sorted(int(i) for i in rng.choice(F, size=k, replace=False)))
+    try:
+        replay = _replay(stats, provider, R, F, alpha)
+    except SeriesStallError:
+        # a superset too ill-conditioned for the series stops both walks
+        with pytest.raises(SeriesStallError):
+            full_closed_test(stats, provider, R, F, alpha)
+        return
+    assert _oracle_tuple(stats, provider, R, F, alpha) == replay
+
+
+def test_block_pass_matches_the_replay_across_blocks():
+    # with 16 supersets a block, this query's first failure sits in the
+    # sixth block, and the bound and the series share the tests before it
+    data, null, stats, provider = make_instance(seed=22, n=30, m=8,
+                                                effect=1.0, n_signal=2)
+    F = active_universe(stats)
+    R = F[:1]
+    replay = _replay(stats, provider, R, F, 0.2)
+    decision, n_tests, n_by_bound, failure = replay
+    assert decision == "not_reject" and n_tests > 5 * 16
+    assert 0 < n_by_bound < n_tests - 1
+    with mock.patch.object(shortcut, "BOUND_BLOCK", 16):
+        assert _oracle_tuple(stats, provider, R, F, 0.2) == replay
+    assert _oracle_tuple(stats, provider, R, F, 0.2) == replay
+
+
+@pytest.mark.parametrize("n, m, confounders", [(200, 9, 0), (12, 10, 3)])
+def test_block_bound_inputs_equal_the_per_set_sums(n, m, confounders):
+    data, null, stats, provider = make_instance(
+        seed=3, n=n, m=m, effect=0.5, n_signal=2, confounders=confounders)
+    F = active_universe(stats)
+    R = F[:2]
+    comp = sorted(set(F) - set(R))
+    blocks = []
+    original = ExactTester._bound_passes
+
+    def recording(self, level, sq_sum, lam_bound, t):
+        if isinstance(t, np.ndarray):
+            blocks.append(np.stack([level, sq_sum, lam_bound, t], axis=1))
+        return original(self, level, sq_sum, lam_bound, t)
+
+    with mock.patch.object(ExactTester, "_bound_passes", recording):
+        full_closed_test(stats, provider, R, F, 0.05)
+    got = blocks[0]                  # the first block holds every mask
+    assert got.shape == (1 << len(comp), 4)
+    want = []
+    for mask in range(1 << len(comp)):
+        S = list(R) + [comp[j] for j in range(len(comp)) if mask >> j & 1]
+        G = provider.gram(sorted(S))
+        sq_sum = float(np.sum(G * G))
+        want.append((stats.w[S].sum(), sq_sum,
+                     min(np.sqrt(sq_sum), np.abs(G).sum(axis=1).max()),
+                     stats.g[S].sum()))
+    want = np.array(want)
+    # the largest absolute row sum, not sqrt(S2), is M for some supersets
+    assert np.any(want[:, 2] < np.sqrt(want[:, 1]))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 @settings(max_examples=8)
 @given(seed=st.integers(0, 10_000))
 def test_strong_query_is_decided_without_building_a_distribution(seed):
@@ -142,6 +236,15 @@ def test_enumeration_cap_enforced():
         full_closed_test(stats, provider, R, F, 0.05, cap=3)
     # a generous cap runs fine
     full_closed_test(stats, provider, R, F, 0.05, cap=len(F))
+
+
+def test_negative_cap_is_refused_up_front():
+    data, null, stats, provider = make_instance(seed=54, n=30, m=7, effect=1.0)
+    F = active_universe(stats)
+    # R == F has complement size 0, which no cap below 0 could admit
+    with pytest.raises(ValueError,
+                       match="enumeration cap must be at least 0, got -1"):
+        full_closed_test(stats, provider, F, F, 0.05, cap=-1)
 
 
 def test_survey_shapes_and_pair_structure():

@@ -123,6 +123,24 @@ def test_chernoff_bound_covers_the_computed_tail(lam, excess, stretch):
     assert chernoff_tail_bound(level, sq_sum, lam.max(), level) == 1.0
 
 
+def test_chernoff_bound_on_arrays_equals_the_scalar_calls():
+    rng = np.random.default_rng(17)
+    level = rng.uniform(0.5, 20.0, 200)
+    sq_sum = level * level * rng.uniform(0.05, 1.0, 200)
+    lam_bound = np.sqrt(sq_sum) * rng.uniform(0.3, 1.0, 200)
+    # about one statistic in seven below its level, ten exactly at it
+    t = level * rng.uniform(0.5, 4.0, 200)
+    t[:10] = level[:10]
+    bounds = chernoff_tail_bound(level, sq_sum, lam_bound, t)
+    assert bounds.shape == (200,)
+    scalar = [chernoff_tail_bound(*map(float, args))
+              for args in zip(level, sq_sum, lam_bound, t)]
+    assert all(isinstance(b, float) for b in scalar)
+    assert bounds.tolist() == scalar
+    assert np.all(bounds[t <= level] == 1.0)
+    assert np.all(bounds[t > level] < 1.0)
+
+
 @pytest.mark.parametrize("lam", [(40.0, 1.0), (300.0, 7.0, 1.0),
                                  (1500.0, 1500.0, 20.0, 1.0)])
 def test_stall_boundary_follows_the_series_length(lam, monkeypatch):
